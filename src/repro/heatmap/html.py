@@ -147,14 +147,6 @@ def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _level(value: int, peak: int) -> int:
-    """Ramp level 1..len(_SEQ_RAMP) for a non-zero count (sqrt scale)."""
-    if peak <= 0 or value <= 0:
-        return 0
-    lev = int(np.ceil(np.sqrt(value / peak) * (len(_SEQ_RAMP) - 1)))
-    return max(1, min(lev + 1, len(_SEQ_RAMP)))
-
-
 def _metric_total(metrics: Mapping[str, Mapping[str, float]] | None,
                   suffix: str) -> float | None:
     if not metrics:
@@ -174,18 +166,27 @@ def _findings_by_alloc_epoch(diagnoses: Sequence[Any]):
     return index
 
 
-def _word_to_bucket(word: int, heat: AllocationHeat) -> int:
-    return min((word * heat.nbuckets) // heat.nwords, heat.nbuckets - 1)
-
-
 def _alloc_svg(heat: AllocationHeat, findings_index: dict) -> str:
     """One allocation's temporal heat strip as inline SVG."""
     epochs = heat.epochs
-    mat = heat.matrix()
-    peak = int(mat.max()) if mat.size else 0
+    # All epochs' heated cells at once: epoch i owns [bounds[i], bounds[i+1]).
+    stacked = heat.epoch_counts()
+    ei, buckets = np.nonzero(stacked.any(axis=1))
+    bounds = np.searchsorted(ei, np.arange(len(epochs) + 1)).tolist()
+    counts = stacked[ei, :, buckets]
+    hot = counts.sum(axis=1)
+    peak = int(hot.max()) if hot.size else 0
+    # Ramp level 1..len(_SEQ_RAMP), sqrt scale (counts exact in f64).
+    levels = np.clip(np.ceil(np.sqrt(hot / peak) * (len(_SEQ_RAMP) - 1)) + 1,
+                     1, len(_SEQ_RAMP)).astype(np.int64).tolist()
+    buckets, counts = buckets.tolist(), counts.tolist()
     step_x, step_y = _CELL_W + _GAP, _CELL_H + _GAP
     width = _GUTTER + heat.nbuckets * step_x
     height = len(epochs) * step_y + 18
+    words = [f", words [{lo},{hi}): cpu r/w "
+             for lo, hi in zip(heat._starts.tolist(), heat._ends.tolist())]
+    site_tips = {s: f" — top site {_esc(s.label)}"
+                 for s in {s for e in epochs for s in e.sites}}
     parts = [f'<svg width="{width}" height="{height}" '
              f'viewBox="0 0 {width} {height}" role="img" '
              f'aria-label="temporal heatmap of {_esc(heat.label)}">']
@@ -193,23 +194,17 @@ def _alloc_svg(heat: AllocationHeat, findings_index: dict) -> str:
         y = ei * step_y
         parts.append(f'<text x="{_GUTTER - 8}" y="{y + _CELL_H - 3}" '
                      f'text-anchor="end">e{e.epoch}</text>')
-        hot = e.heat
-        for b in range(heat.nbuckets):
-            if hot[b] <= 0:
-                continue
-            lev = _level(int(hot[b]), peak)
-            x = _GUTTER + b * step_x
-            lo, hi = heat.bucket_word_range(b)
-            tip = (f"epoch {e.epoch}, words [{lo},{hi}): "
-                   f"cpu r/w {int(e.counts[0, b])}/{int(e.counts[1, b])}, "
-                   f"gpu r/w {int(e.counts[2, b])}/{int(e.counts[3, b])}")
-            top = e.top_sites(1, b, b + 1)
-            if top:
-                tip += f" — top site {top[0][0].label}"
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{_CELL_W}" '
-                f'height="{_CELL_H}" rx="2" fill="var(--h{lev})">'
-                f'<title>{_esc(tip)}</title></rect>')
+        sites, top, _ = e.bucket_top_sites()
+        tops = top.tolist()
+        tips = [site_tips[s] for s in sites] + [""]  # [-1]: no site
+        lo, hi = bounds[ei], bounds[ei + 1]
+        parts.extend(
+            f'<rect x="{_GUTTER + b * step_x}" y="{y}" width="{_CELL_W}" '
+            f'height="{_CELL_H}" rx="2" fill="var(--h{lev})">'
+            f"<title>epoch {e.epoch}{words[b]}{c0}/{c1}, "
+            f"gpu r/w {c2}/{c3}{tips[tops[b]]}</title></rect>"
+            for b, lev, (c0, c1, c2, c3) in zip(
+                buckets[lo:hi], levels[lo:hi], counts[lo:hi]))
         # Anti-pattern overlays: status-colored outline over the epoch
         # row region the finding fired on (icon + label ride the list
         # below -- never color alone).
@@ -218,8 +213,8 @@ def _alloc_svg(heat: AllocationHeat, findings_index: dict) -> str:
                 f.pattern.name, ("#fab219", "●", f.pattern.name))
             spans = [(0, heat.nbuckets)]
             if f.ranges:
-                spans = [(_word_to_bucket(lo, heat),
-                          _word_to_bucket(max(lo, hi - 1), heat) + 1)
+                spans = [(int(heat.bucket_of(lo)),
+                          int(heat.bucket_of(max(lo, hi - 1))) + 1)
                          for lo, hi in f.ranges]
             for blo, bhi in spans:
                 x = _GUTTER + blo * step_x - 1
@@ -242,13 +237,13 @@ def _alloc_table(heat: AllocationHeat) -> str:
     """Per-epoch channel totals -- the table view of the strip."""
     rows = ["<table><tr><th>epoch</th><th>cpu reads</th><th>cpu writes</th>"
             "<th>gpu reads</th><th>gpu writes</th><th>total</th></tr>"]
-    for e in heat.epochs:
-        sums = e.counts.sum(axis=1)
+    for e, sums in zip(heat.epochs,
+                       heat.epoch_counts().sum(axis=2).tolist()):
         rows.append(
             "<tr><td>e{}</td>{}<td>{}</td></tr>".format(
                 e.epoch,
-                "".join(f"<td>{int(s):,}</td>" for s in sums),
-                f"{e.total:,}"))
+                "".join(f"<td>{s:,}</td>" for s in sums),
+                f"{sum(sums):,}"))
     rows.append("</table>")
     return "".join(rows)
 
@@ -273,18 +268,17 @@ def _alloc_figure(heat: AllocationHeat, findings_index: dict) -> str:
         + "".join(f'<span class="swatch" style="background:var(--h{i})">'
                   '</span>'
                   for i in range(1, len(_SEQ_RAMP) + 1, 3))
-        + f"<span>peak {_fmt(int(heat.matrix().max()) if heat.epochs else 0)}"
+        + f"<span>peak {_fmt(region['peak'] if region else 0)}"
           " word-accesses / bucket (√ scale)</span></div>")
-    return (
+    # One join: chained + would copy the multi-megabyte strip each time.
+    return "".join((
         "<figure>"
         f"<figcaption>{_esc(heat.label)} "
         f"<small>{heat.size:,} bytes &middot; {heat.nwords:,} words &middot; "
-        f"{len(heat.epochs)} epoch(s)</small></figcaption>"
-        + _alloc_svg(heat, findings_index)
-        + sites_html + legend
-        + "<details><summary>table view</summary>"
-        + _alloc_table(heat) + "</details>"
-        "</figure>")
+        f"{len(heat.epochs)} epoch(s)</small></figcaption>",
+        _alloc_svg(heat, findings_index), sites_html, legend,
+        "<details><summary>table view</summary>", _alloc_table(heat),
+        "</details></figure>"))
 
 
 def _findings_section(diagnoses: Sequence[Any]) -> str:
@@ -601,12 +595,10 @@ def build_report(
         "</div>")
     body.append("<footer>generated by repro-report &middot; deterministic "
                 "(fixed runs produce byte-identical reports)</footer>")
-    return ("<!DOCTYPE html>\n<html lang=\"en\"><head>"
-            '<meta charset="utf-8">'
-            '<meta name="viewport" content="width=device-width, '
-            'initial-scale=1">'
-            f"<title>{_esc(title)}</title>"
-            f"<style>{_CSS}{_CSS_RAMP_LIGHT}{_CSS2}</style>"
-            "</head><body>"
-            + "".join(body)
-            + "</body></html>\n")
+    return "".join(["<!DOCTYPE html>\n<html lang=\"en\"><head>"
+                    '<meta charset="utf-8">'
+                    '<meta name="viewport" content="width=device-width, '
+                    'initial-scale=1">'
+                    f"<title>{_esc(title)}</title>"
+                    f"<style>{_CSS}{_CSS_RAMP_LIGHT}{_CSS2}</style>"
+                    "</head><body>", *body, "</body></html>\n"])

@@ -95,6 +95,17 @@ class EpochHeat:
         totals.sort(key=lambda sn: (-sn[1], sn[0]))
         return totals[:k]
 
+    def bucket_top_sites(self) -> tuple[list, np.ndarray, np.ndarray]:
+        """Every bucket's top site as ``(sorted sites, index, count)``.
+
+        Ties go to the smallest site; unattributed buckets get index -1.
+        """
+        sites = sorted(self.sites)
+        # A leading zero row wins argmax only where no site has heat.
+        stacked = np.array([np.zeros_like(self.counts[0])]
+                           + [self.sites[s] for s in sites])
+        return sites, stacked.argmax(axis=0) - 1, stacked.max(axis=0)
+
 
 class AllocationHeat:
     """Heat history of one allocation (open accumulator + closed epochs)."""
@@ -136,7 +147,7 @@ class AllocationHeat:
         self._counts = np.zeros((len(CHANNELS), self.nbuckets), np.int64)
         self._sites: dict[SourceSite, np.ndarray] = {}
         # Fair-division bucket boundaries: bucket b covers words
-        # [starts[b], ends[b]); word w lands in bucket w*nbuckets//nwords.
+        # [starts[b], ends[b]) with starts[b] = b*nwords//nbuckets.
         b = np.arange(self.nbuckets + 1, dtype=np.int64)
         bounds = (b * self.nwords) // self.nbuckets
         self._starts = bounds[:-1]
@@ -149,6 +160,10 @@ class AllocationHeat:
         """Word range ``[lo, hi)`` a bucket covers."""
         return int(self._starts[bucket]), int(self._ends[bucket])
 
+    def bucket_of(self, words):
+        """Bucket(s) holding word index (or array of indices) ``words``."""
+        return np.searchsorted(self._ends, words, side="right")
+
     # ------------------------------------------------------------------ #
     # recording
 
@@ -157,11 +172,10 @@ class AllocationHeat:
             site: SourceSite | None = None) -> None:
         """Accumulate one access over words ``[lo, hi)`` (or ``idx``)."""
         if idx is not None:
-            # Word w belongs to the bucket whose [start, end) span holds
-            # it -- the same fair-division boundaries the span path clips
+            # The same fair-division boundaries the span path clips
             # against, so scattered and contiguous records always agree.
-            buckets = np.searchsorted(self._ends, idx, side="right")
-            contrib = np.bincount(buckets, minlength=self.nbuckets)
+            contrib = np.bincount(self.bucket_of(idx),
+                                  minlength=self.nbuckets)
         else:
             contrib = np.clip(np.minimum(hi, self._ends)
                               - np.maximum(lo, self._starts), 0, None)
@@ -202,13 +216,15 @@ class AllocationHeat:
         """Word-accesses across all closed epochs."""
         return sum(e.total for e in self.epochs)
 
-    def matrix(self, channel: str | None = None) -> np.ndarray:
-        """``(n_epochs, nbuckets)`` heat matrix over closed epochs."""
+    def epoch_counts(self) -> np.ndarray:
+        """``(n_epochs, 4, nbuckets)`` channel counts over closed epochs."""
         if not self.epochs:
-            return np.zeros((0, self.nbuckets), np.int64)
-        if channel is None:
-            return np.stack([e.heat for e in self.epochs])
-        return np.stack([e.channel(channel) for e in self.epochs])
+            return np.zeros((0, len(CHANNELS), self.nbuckets), np.int64)
+        return np.stack([e.counts for e in self.epochs])
+
+    def matrix(self) -> np.ndarray:
+        """``(n_epochs, nbuckets)`` heat matrix over closed epochs."""
+        return self.epoch_counts().sum(axis=1)
 
     def current_heat(self) -> np.ndarray:
         """Combined per-bucket heat of the *open* (not yet frozen) epoch.
@@ -221,10 +237,7 @@ class AllocationHeat:
 
     def current_top_sites(self, k: int = 5) -> list[tuple[SourceSite, int]]:
         """Top sites of the *open* accumulator (for diagnostics output)."""
-        totals = [(s, int(v.sum())) for s, v in self._sites.items()]
-        totals = [(s, n) for s, n in totals if n > 0]
-        totals.sort(key=lambda sn: (-sn[1], sn[0]))
-        return totals[:k]
+        return EpochHeat(-1, self._counts, self._sites).top_sites(k)
 
     def hottest_region(self, k_sites: int = 5):
         """The hottest (epoch, word-range) and the sites that heated it.
@@ -235,18 +248,11 @@ class AllocationHeat:
         the region).  The region is the contiguous bucket run around the
         global peak whose heat stays above half the peak.
         """
-        best: tuple[int, int] | None = None
-        peak = 0
-        for ei, e in enumerate(self.epochs):
-            h = e.heat
-            b = int(h.argmax())
-            if h[b] > peak:
-                peak = int(h[b])
-                best = (ei, b)
-        if best is None or peak == 0:
+        mat = self.matrix()
+        if not mat.size or mat.max() <= 0:
             return None
-        ei, b = best
-        heat = self.epochs[ei].heat
+        ei, b = (int(i) for i in np.unravel_index(mat.argmax(), mat.shape))
+        heat, peak = mat[ei], int(mat[ei, b])
         lo = b
         while lo > 0 and heat[lo - 1] * 2 >= peak:
             lo -= 1
@@ -368,22 +374,18 @@ class HeatStore:
         out.write("allocation,epoch,bucket,word_lo,word_hi,"
                   + ",".join(CHANNELS) + ",top_site\n")
         for heat in self.allocations():
+            spans = [f"{b},{lo},{hi}," for b, (lo, hi) in enumerate(
+                zip(heat._starts.tolist(), heat._ends.tolist()))]
             for e in heat.epochs:
-                tops = {}
-                for site, vec in e.sites.items():
-                    for b in np.flatnonzero(vec):
-                        cur = tops.get(int(b))
-                        if cur is None or vec[b] > cur[1] or \
-                                (vec[b] == cur[1] and site < cur[0]):
-                            tops[int(b)] = (site, int(vec[b]))
-                for b in range(heat.nbuckets):
-                    if not e.counts[:, b].any():
-                        continue
-                    lo, hi = heat.bucket_word_range(b)
-                    vals = ",".join(str(int(v)) for v in e.counts[:, b])
-                    site = tops.get(b)
-                    out.write(f"{heat.label},{e.epoch},{b},{lo},{hi},{vals},"
-                              f"{site[0].label if site else ''}\n")
+                sites, top, _ = e.bucket_top_sites()
+                labels = [s.label for s in sites] + [""]  # [-1]: no site
+                nz = np.flatnonzero(e.counts.any(axis=0))
+                out.write("".join(
+                    f"{heat.label},{e.epoch},{spans[b]}{c0},{c1},{c2},{c3},"
+                    f"{labels[t]}\n"
+                    for b, (c0, c1, c2, c3), t in zip(
+                        nz.tolist(), e.counts[:, nz].T.tolist(),
+                        top[nz].tolist())))
         return out.getvalue()
 
     def to_npz(self, path: str | Path) -> Path:
@@ -411,9 +413,7 @@ class HeatStore:
             "channels": np.array(CHANNELS),
         }
         for i, heat in enumerate(allocs):
-            counts = (np.stack([e.counts for e in heat.epochs])
-                      if heat.epochs else
-                      np.zeros((0, len(CHANNELS), heat.nbuckets), np.int64))
+            counts = heat.epoch_counts()
             arrays[f"a{i}_counts"] = counts
             for c, name in enumerate(CHANNELS):
                 arrays[f"a{i}_{name}"] = counts[:, c, :]

@@ -36,6 +36,7 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
+from ..canonjson import dumps
 from ..heatmap.store import CHANNELS, AllocationHeat, HeatStore
 
 __all__ = [
@@ -158,7 +159,7 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _round_vec(vec: np.ndarray) -> list[float]:
-    return [round(float(v), _ROUND) for v in vec]
+    return [round(v, _ROUND) for v in vec.tolist()]
 
 
 @dataclass
@@ -256,7 +257,7 @@ class RunSignature:
 
     def to_json(self) -> str:
         """Canonical byte-deterministic JSON form."""
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
+        return dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)

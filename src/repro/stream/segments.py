@@ -44,6 +44,8 @@ import zlib
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
+from ..canonjson import Encoded, dumps
+
 __all__ = [
     "STREAM_VERSION",
     "SEGMENT_DIR",
@@ -85,7 +87,7 @@ def write_manifest(dir_path: str | Path, manifest: Mapping[str, Any]) -> Path:
     dir_path.mkdir(parents=True, exist_ok=True)
     target = dir_path / MANIFEST_NAME
     tmp = dir_path / (MANIFEST_NAME + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
+    tmp.write_text(dumps(manifest, indent=1, sort_keys=True) + "\n",
                    encoding="utf-8")
     os.replace(tmp, target)
     return target
@@ -139,6 +141,8 @@ class SegmentWriter:
         self.platform = platform
         self.config = dict(config or {})
         self.segments: list[dict[str, Any]] = []
+        # Entry texts encoded once at their manifest depth, spliced on sync.
+        self._segment_texts: list[Encoded] = []
         self.rollup: dict[str, Any] = {}
         self.complete = False
         (self.dir / SEGMENT_DIR).mkdir(parents=True, exist_ok=True)
@@ -183,6 +187,8 @@ class SegmentWriter:
             entry["epoch_lo"] = min(epochs)
             entry["epoch_hi"] = max(epochs)
         self.segments.append(entry)
+        self._segment_texts.append(Encoded(
+            dumps(entry, indent=1, sort_keys=True, level=2)))
         if rollup is not None:
             self.rollup = dict(rollup)
         self._sync_manifest()
@@ -201,7 +207,8 @@ class SegmentWriter:
         return self._sync_manifest()
 
     def _sync_manifest(self) -> Path:
-        return write_manifest(self.dir, self.manifest())
+        return write_manifest(self.dir, dict(self.manifest(),
+                                             segments=self._segment_texts))
 
     def manifest(self) -> dict[str, Any]:
         """The manifest dict as it would be written right now."""

@@ -64,6 +64,28 @@ class TestBuildReport:
         assert "unnecessary transfers" in html
         assert "no findings" in html  # the two empty groups say so
 
+    def test_ranged_overlay_uses_heat_bucket_boundaries(self):
+        # 3 words in 2 buckets: fair division puts word 0 in bucket 0 and
+        # words 1-2 in bucket 1, so a finding on word 1 must outline the
+        # bucket-1 heat cell (word*nbuckets//nwords would say bucket 0).
+        space = AddressSpace()
+        alloc = space.allocate(3 * 4, MemoryKind.MANAGED, label="odd")
+        s = HeatStore(nbuckets=2, attribute=False)
+        s.record(alloc, Processor.GPU, is_write=True, lo=1, hi=2)
+        s.advance_epoch(0)
+        heat = s.allocations()[0]
+        assert heat.bucket_word_range(1) == (1, 3)
+        finding = Finding(pattern=AntiPattern.UNNECESSARY_TRANSFER_IN,
+                          name="odd", alloc=None, metric=1.0, detail="d",
+                          epoch=0, ranges=((1, 2),))
+        html = build_report(workload="w", platform="p", store=s,
+                            diagnoses=[_FakeDiagnosis([finding])])
+        cells = re.findall(r'<rect x="(\d+)" y="0" width="10"', html)
+        overlays = re.findall(r'<rect x="(\d+)" y="-1" width="(\d+)"', html)
+        assert len(cells) == 1 and len(overlays) == 1
+        assert int(overlays[0][0]) == int(cells[0]) - 1
+        assert overlays[0][1] == "12"  # exactly one cell wide
+
     def test_finding_detail_is_escaped(self, store):
         html = build_report(workload="w", platform="p", store=store,
                             diagnoses=[_FakeDiagnosis([_finding(store)])])

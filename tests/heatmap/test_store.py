@@ -32,6 +32,17 @@ class TestBucketGeometry:
         for (alo, ahi), (blo, bhi) in zip(spans, spans[1:]):
             assert ahi == blo and ahi > alo
 
+    def test_bucket_of_matches_bucket_word_ranges(self, space):
+        # Sizes where nwords % nbuckets != 0: w*nbuckets//nwords would
+        # disagree with the fair-division spans for some words.
+        for size, nbuckets in ((12, 2), (1000, 7), (44, 4)):
+            heat = AllocationHeat(_alloc(space, size), nbuckets=nbuckets)
+            words = np.arange(heat.nwords)
+            expect = [b for b in range(heat.nbuckets)
+                      for _ in range(*heat.bucket_word_range(b))]
+            assert heat.bucket_of(words).tolist() == expect
+            assert [int(heat.bucket_of(int(w))) for w in words] == expect
+
     def test_small_alloc_clamps_bucket_count(self, space):
         heat = AllocationHeat(_alloc(space, 8), nbuckets=64)
         assert heat.nwords == 2

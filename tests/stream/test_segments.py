@@ -135,6 +135,33 @@ class TestManifest:
         with pytest.raises(FileNotFoundError):
             load_manifest(tmp_path / "nowhere")
 
+    def test_every_rewrite_equals_the_indent_encoding(self, tmp_path):
+        """Spliced segment entries must give the exact canonical bytes."""
+        writer = SegmentWriter(tmp_path, shard="s0", workload="wl",
+                               platform="pcie",
+                               config={"nested": {"k": [1, {"x": None}]}})
+        path = tmp_path / MANIFEST_NAME
+
+        def expected():
+            return json.dumps(writer.manifest(), indent=1,
+                              sort_keys=True) + "\n"
+
+        assert path.read_text() == expected()
+        for i in range(5):
+            records = RECORDS[: 1 + i % 3]
+            rollup = {"seq": i, "residency": {"m": [i, 0.5]},
+                      "label": 'q"\u00e9'} if i % 2 else None
+            writer.write_segment(records, rollup=rollup)
+            assert path.read_text() == expected()
+            assert load_manifest(tmp_path) == writer.manifest()
+        writer.publish_rollup({"events_spilled": 3})
+        assert path.read_text() == expected()
+        writer.finalize({"events_spilled": 4, "empty": {}})
+        assert path.read_text() == expected()
+        assert len(writer.manifest()["segments"]) == 5
+        assert [p.name for p in tmp_path.iterdir()
+                if p.name.endswith(".tmp")] == []
+
     def test_unlisted_crashed_segment_still_detected(self, stream, tmp_path):
         """A crash can leave a segment the manifest never saw."""
         stream.write_segment(RECORDS)
