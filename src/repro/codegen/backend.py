@@ -6,7 +6,7 @@ which tier ends up executing).  The ladder, most- to least-optimized:
 
 ``codegen-vec``
     One numpy pass over the whole grid (:mod:`.vectorize` +
-    :mod:`.gridexec`); requires sampling off and a provably
+    :mod:`.gridexec`); requires a stock tracer and a provably
     data-parallel kernel.  Bails fall to the scalar tier after
     restoring any half-written values.
 ``codegen``
@@ -236,7 +236,7 @@ def run_compiled(interp, fn, grid: int, block: int, args,
     heat_on = tracer.heat is not None
     fallbacks = 0
     if mode in ("auto", "codegen-vec"):
-        if eligible and tracer.sample_mode == "off":
+        if eligible:
             try:
                 if _run_vec(interp, fn, grid, block, args, heat_on):
                     tracer.note_launch("codegen-vec", fallbacks)
@@ -245,8 +245,8 @@ def run_compiled(interp, fn, grid: int, block: int, args,
             except (CodegenBail, VecBail):
                 fallbacks += 1
         elif mode == "codegen-vec":
-            # Explicitly requested but unavailable (sampling on, or a
-            # tracer subclass): record the drop.
+            # Explicitly requested but unavailable (a tracer subclass
+            # overriding the trace hooks): record the drop.
             fallbacks += 1
     if eligible:
         try:

@@ -361,7 +361,7 @@ class VecRun:
         The interpreter counts *post-merge interval widths*: per thread,
         consecutive trace calls on the same ``(allocation, kind)`` merge
         into one pending interval when they overlap or touch, and only
-        flushed interval widths reach ``words_seen``.  This simulates
+        flushed interval widths reach ``words_recorded``.  This simulates
         that accounting exactly, vectorized across lanes (each lane's
         pending interval advances through the plans in statement order;
         inactive lanes skip a plan just like a masked-off thread skips

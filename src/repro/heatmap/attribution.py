@@ -8,7 +8,7 @@ Two attribution paths feed :class:`~repro.heatmap.store.SourceSite`:
 * **Native path** -- Python workloads access memory through
   :class:`~repro.cudart.memory.ArrayView`; :func:`caller_site` walks the
   interpreter stack past the simulator's own frames to the first workload
-  frame, exactly like a sampling profiler attributes a leaf sample.
+  frame, exactly like a statistical profiler attributes a leaf sample.
 
 Frame walking only runs while a heat store is attached (heat recording is
 off by default), so the untraced hot path never pays for it.

@@ -78,8 +78,7 @@ REPORT_RUNNERS: dict[str, Callable[[Session], WorkloadRun]] = {
 
 def run_report(workload: str, platform: str, out_dir: str | Path, *,
                buckets: int = 64, attribute: bool = True,
-               materialize: bool = True, why: bool = False,
-               sample: int | str | None = None) -> dict[str, Path]:
+               materialize: bool = True, why: bool = False) -> dict[str, Path]:
     """Run ``workload`` with heat recording and write the report bundle.
 
     Returns artifact paths: ``report`` (HTML) plus everything
@@ -93,11 +92,8 @@ def run_report(workload: str, platform: str, out_dir: str | Path, *,
     report gains the causal-blame section and ``causes.json`` is written
     next to the other artifacts.
 
-    With ``sample=N`` the tracer records 1-in-N words (``sample="auto"``
-    enables signature-guided adaptive sampling); the effective rate and
-    estimated fidelity land in the telemetry stream and as a report
-    banner (results are estimates).  If any driver events fell out of
-    retention un-spilled, the report leads with a data-loss warning.
+    If any driver events fell out of retention un-spilled, the report
+    leads with a data-loss warning.
     """
     preset = PLATFORM_ALIASES.get(platform, platform)
     runner = REPORT_RUNNERS.get(workload, WORKLOADS[workload])
@@ -109,12 +105,10 @@ def run_report(workload: str, platform: str, out_dir: str | Path, *,
                                  heat=heat)
     recorder.workload = workload
     recorder.config = {"platform": preset, "materialize": materialize,
-                       "heat_buckets": buckets, "causes": why,
-                       "sample": sample or 1}
+                       "heat_buckets": buckets, "causes": why}
     context.install(recorder, track_causes=why)
     try:
-        session = make_session(preset, trace=True, materialize=materialize,
-                               sample=sample)
+        session = make_session(preset, trace=True, materialize=materialize)
         # Live phase tracking: markers land in the event log (and so in
         # events.jsonl / the Perfetto timeline / the causal rollups).
         tracker = PhaseTracker(
@@ -154,11 +148,6 @@ def run_report(workload: str, platform: str, out_dir: str | Path, *,
              if isinstance(v, (int, float))}
     stats.setdefault("sim_time", run.sim_time)
     dropped = int(recorder.events_dropped_total)
-    # The tracer's own sampling_info is preferred over the recorder's
-    # attach-time snapshot: with sample="auto" the stride moves during
-    # the run and only the tracer knows the measured rate.
-    sampling = (session.tracer.sampling_info()
-                if session.tracer is not None else recorder.sampling)
     backend = (session.tracer.backend_info()
                if session.tracer is not None else None)
     report = build_report(workload=workload, platform=preset, store=heat,
@@ -167,7 +156,6 @@ def run_report(workload: str, platform: str, out_dir: str | Path, *,
                           causes=causes,
                           stream={"events_dropped": dropped} if dropped
                           else None,
-                          sampling=sampling,
                           backend=backend,
                           phases=sig.phases)
     report_path = out / "report.html"
@@ -175,13 +163,6 @@ def run_report(workload: str, platform: str, out_dir: str | Path, *,
     paths["report"] = report_path
     paths["store"] = heat  # type: ignore[assignment]
     return paths
-
-
-def _sample_arg(value: str) -> "int | str":
-    """``--sample`` accepts an integer stride or the literal ``auto``."""
-    if value == "auto":
-        return value
-    return int(value)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -207,13 +188,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--why", action="store_true",
                         help="capture causal provenance: adds the causal-"
                              "blame report section and writes causes.json")
-    parser.add_argument("--sample", type=_sample_arg, default=None,
-                        metavar="N|auto",
-                        help="sampled tracing: record 1-in-N words, or "
-                             "'auto' for signature-guided adaptive "
-                             "sampling (full rate around phase changes, "
-                             "strided in steady state); results are "
-                             "estimates, flagged in the report")
     parser.add_argument("--ansi", action="store_true",
                         help="also print the terminal heatmap to stdout")
     parser.add_argument("--epoch", type=int, default=None,
@@ -243,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
                        buckets=args.buckets,
                        attribute=not args.no_attribution,
                        materialize=not args.footprint,
-                       why=args.why, sample=args.sample)
+                       why=args.why)
     store: HeatStore = paths.pop("store")  # type: ignore[assignment]
     if args.ansi:
         color = False if args.no_color else supports_color()

@@ -409,10 +409,9 @@ def _tiles(store: HeatStore,
 
 
 def _banners(stream: Mapping[str, Any] | None,
-             sampling: Mapping[str, Any] | None,
              backend: Mapping[str, Any] | None = None) -> str:
-    """Fidelity banners: data loss, spill/merge provenance, sampling,
-    execution backend attribution."""
+    """Fidelity banners: data loss, spill/merge provenance, execution
+    backend attribution."""
     parts: list[str] = []
     if backend:
         launches = backend.get("launches") or {}
@@ -454,23 +453,6 @@ def _banners(stream: Mapping[str, Any] | None,
                 for w in warnings)
             parts.append('<div class="banner">streamed run: '
                          + ", ".join(bits) + "." + warn_html + "</div>")
-    if sampling:
-        mode = str(sampling.get("mode", ""))
-        label = ("adaptive (signature-guided) sampled tracing: steady-state "
-                 "1-in-" if mode == "auto" else "sampled tracing: 1-in-")
-        measured = sampling.get("measured_rate")
-        measured_html = (f", measured rate {measured}"
-                         if measured is not None else "")
-        parts.append(
-            f'<div class="banner">{label}'
-            f'{int(sampling.get("sample", 1))} words '
-            f'(effective rate {sampling.get("effective_rate")}'
-            f'{measured_html}, '
-            f'estimated fidelity {sampling.get("estimated_fidelity")}).'
-            '<div class="why">heat counts and diagnostics are scaled '
-            "estimates; dense runs are exact"
-            + ("; phase transitions traced at full rate." if mode == "auto"
-               else ".") + "</div></div>")
     return "".join(parts)
 
 
@@ -540,7 +522,6 @@ def build_report(
     stats: Mapping[str, Any] | None = None,
     causes: Mapping[str, Any] | None = None,
     stream: Mapping[str, Any] | None = None,
-    sampling: Mapping[str, Any] | None = None,
     backend: Mapping[str, Any] | None = None,
     phases: Sequence[Mapping[str, Any]] | None = None,
     artifacts: Iterable[str] = ("timeline.json", "events.jsonl",
@@ -558,8 +539,6 @@ def build_report(
     :param stream: streaming provenance: ``events_dropped`` raises the
         data-loss warning banner; ``merged_from`` / ``events_spilled`` /
         ``warnings`` describe a spill-and-merge run (``repro-agg``).
-    :param sampling: :meth:`repro.runtime.Tracer.sampling_info` dict for
-        sampled runs; adds the estimated-fidelity banner.
     :param backend: :meth:`repro.runtime.Tracer.backend_info` dict for
         compiled-backend runs; adds the backend-attribution banner (which
         backend executed each launch, and how many tier fallbacks).
@@ -574,7 +553,7 @@ def build_report(
             f'<div class="sub">{len(allocs)} traced allocation(s) &middot; '
             f'{len(store.epochs_closed)} epoch(s) &middot; '
             f'heat bucketed ×{store.nbuckets}</div>']
-    body.append(_banners(stream, sampling, backend))
+    body.append(_banners(stream, backend))
     body.append(_tiles(store, metrics, stats))
     body.append("<h2>Temporal heatmaps</h2>")
     if allocs:

@@ -291,9 +291,8 @@ class HeatStore:
         self.records = 0
         #: Called as ``listener(alloc_heat, epoch_heat)`` for every snapshot
         #: an :meth:`advance_epoch` freezes -- *before* a streaming store
-        #: releases it, so live consumers (phase tracking, adaptive
-        #: sampling telemetry) see every epoch even when heat spills to
-        #: disk.
+        #: releases it, so live consumers (phase tracking) see every
+        #: epoch even when heat spills to disk.
         self.epoch_listeners: list = []
         self._allocs: dict[tuple[int, int], AllocationHeat] = {}
 

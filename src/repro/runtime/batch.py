@@ -54,7 +54,7 @@ class TraceBatcher:
     """Coalesces consecutive same-``(block, proc, kind)`` word intervals.
 
     :param sink: callback receiving each flushed interval; the tracer
-        passes its (possibly sampled) shadow-apply routine.
+        passes its shadow-apply routine.
     """
 
     __slots__ = ("sink", "block", "proc", "kind", "lo", "hi",

@@ -75,29 +75,8 @@ class DiagnosticResult:
         return sum(r.alternating for r in self.reports)
 
 
-def _scale_counts(counts: AccessCounts, alternating: int,
-                  sample: int) -> tuple[AccessCounts, int]:
-    """Scale sampled counters back up (``Tracer(sample=N)`` estimates).
-
-    Each recorded word stands for ~``sample`` words, so every counter is
-    multiplied by the sampling factor and clamped to the block size.
-    """
-    total = counts.total_words
-    scale = lambda n: min(total, n * sample)  # noqa: E731
-    return AccessCounts(
-        cpu_written=scale(counts.cpu_written),
-        gpu_written=scale(counts.gpu_written),
-        read_cc=scale(counts.read_cc),
-        read_cg=scale(counts.read_cg),
-        read_gc=scale(counts.read_gc),
-        read_gg=scale(counts.read_gg),
-        accessed_words=scale(counts.accessed_words),
-        total_words=total,
-    ), scale(alternating)
-
-
 def _report_block(block: ShadowBlock, name: str, *, include_maps: bool,
-                  heat=None, sample: int = 1) -> AllocationReport:
+                  heat=None) -> AllocationReport:
     maps: dict[str, AccessMap] = {}
     if include_maps:
         maps = {
@@ -110,15 +89,11 @@ def _report_block(block: ShadowBlock, name: str, *, include_maps: bool,
         if alloc_heat is not None:
             hot_sites = tuple((site.label, n) for site, n
                               in alloc_heat.current_top_sites(3))
-    counts = block.counts()
-    alternating = block.alternating_words()
-    if sample > 1:
-        counts, alternating = _scale_counts(counts, alternating, sample)
     return AllocationReport(
         name=name,
         alloc=block.alloc,
-        counts=counts,
-        alternating=alternating,
+        counts=block.counts(),
+        alternating=block.alternating_words(),
         freed=block.freed_epoch is not None,
         maps=maps,
         hot_sites=hot_sites,
@@ -164,8 +139,7 @@ def trace_print(
                 continue
             reports.append(_report_block(block, desc.name,
                                          include_maps=include_maps,
-                                         heat=tracer.heat,
-                                         sample=tracer.sample))
+                                         heat=tracer.heat))
             claimed.add(block.alloc.base)
     if descriptors is None or include_unnamed:
         for block in blocks:
@@ -174,8 +148,7 @@ def trace_print(
             label = block.alloc.label or f"alloc@{block.alloc.base:#x}"
             reports.append(_report_block(block, label,
                                          include_maps=include_maps,
-                                         heat=tracer.heat,
-                                         sample=tracer.sample))
+                                         heat=tracer.heat))
 
     result = DiagnosticResult(epoch=tracer.epoch, reports=reports)
     for hook in tuple(tracer.diagnostic_hooks):

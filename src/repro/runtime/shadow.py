@@ -102,15 +102,10 @@ class ShadowBlock:
     # update rules
 
     def record_write(self, proc: Processor, lo: int, hi: int,
-                     idx: np.ndarray | None = None, step: int = 1) -> None:
-        """Mark words written by ``proc`` and update the last-writer bit.
-
-        ``step`` > 1 records only every ``step``-th word of the range --
-        the sampled shadow mode (``Tracer(sample=N)``); diagnostics scale
-        the resulting counts back up.
-        """
+                     idx: np.ndarray | None = None) -> None:
+        """Mark words written by ``proc`` and update the last-writer bit."""
         wbit = F.write_bit(proc)
-        target = self.shadow[lo:hi:step] if idx is None else self.shadow
+        target = self.shadow[lo:hi] if idx is None else self.shadow
         if idx is None:
             target |= wbit
             if proc is Processor.GPU:
@@ -125,10 +120,10 @@ class ShadowBlock:
                 self.shadow[idx] &= np.uint8(~F.LAST_WRITE_GPU & 0xFF)
 
     def record_read(self, proc: Processor, lo: int, hi: int,
-                    idx: np.ndarray | None = None, step: int = 1) -> None:
+                    idx: np.ndarray | None = None) -> None:
         """Mark words read by ``proc``, classified by value origin."""
         if idx is None:
-            window = self.shadow[lo:hi:step]
+            window = self.shadow[lo:hi]
             origin_gpu = (window & F.LAST_WRITE_GPU) != 0
             gpu_origin_bit = F.read_bit_for(proc, True)
             cpu_origin_bit = F.read_bit_for(proc, False)
@@ -142,11 +137,11 @@ class ShadowBlock:
             self.shadow[idx] = window
 
     def record_rmw(self, proc: Processor, lo: int, hi: int,
-                   idx: np.ndarray | None = None, step: int = 1) -> None:
+                   idx: np.ndarray | None = None) -> None:
         """A read-modify-write: the read observes the *old* origin, then
         the write updates ownership -- order matters."""
-        self.record_read(proc, lo, hi, idx, step)
-        self.record_write(proc, lo, hi, idx, step)
+        self.record_read(proc, lo, hi, idx)
+        self.record_write(proc, lo, hi, idx)
 
     # ------------------------------------------------------------------ #
     # analysis extraction

@@ -85,11 +85,7 @@ class Tracer(ObserverBase):
 
     def __init__(self, *, enabled: bool = True,
                  heat: "HeatStore | None" = None,
-                 batch: bool = True,
-                 sample: "int | str | None" = None,
-                 auto_stride: int = 8,
-                 auto_hot: int = 2,
-                 phase_threshold: float | None = None) -> None:
+                 batch: bool = True) -> None:
         self.smt = ShadowMemoryTable()
         self.enabled = enabled
         #: Optional access-count heat recorder (off by default; the shadow
@@ -107,49 +103,9 @@ class Tracer(ObserverBase):
         #: open heat accumulators) is still inspectable.  The interactive
         #: debugger hangs anti-pattern breakpoints here.
         self.diagnostic_hooks: list = []
-        #: Sampled shadow mode: record 1-in-N words (strided over spans,
-        #: 1-in-N calls for sub-stride accesses).  Diagnostics scale the
-        #: counts back up; results are *estimates* -- see EXPERIMENTS.md.
-        #:
-        #: ``sample="auto"`` is the signature-guided adaptive mode: the
-        #: stride starts at 1 (full rate), and at each epoch boundary an
-        #: online :class:`~repro.signature.phases.PhaseDetector` over the
-        #: open heat accumulators (heat records full-rate regardless of
-        #: shadow sampling, so the signal never degrades) decides the
-        #: *next* epoch's stride -- full rate for ``auto_hot`` epochs after
-        #: every detected phase change, ``auto_stride`` in steady state.
-        #: Requires a heat store; without one the tracer stays full-rate.
-        if sample == "auto":
-            self.sample = 1
-            self.sample_mode = "auto"
-        elif sample and int(sample) > 1:
-            self.sample = int(sample)
-            self.sample_mode = "fixed"
-        else:
-            self.sample = 1
-            self.sample_mode = "off"
-        #: Steady-state stride of ``sample="auto"``.
-        self.auto_stride = max(2, int(auto_stride))
-        #: Full-rate epochs traced after each detected phase change.
-        self.auto_hot = max(1, int(auto_hot))
-        #: Phase changes the adaptive sampler has reacted to.
-        self.auto_changes = 0
-        self._phase_threshold = phase_threshold
-        self._auto_detector = None
-        self._auto_hot_left = 0
-        self._sample_tick = 0
-        #: Shadow words seen / actually recorded across closed epochs
-        #: (the open epoch's tallies live in the ``_epoch_*`` pair until
-        #: :meth:`advance_epoch` folds them in).  ``recorded < seen`` only
-        #: under sampling; the ratio is the *measured* sampling rate that
-        #: report and telemetry headers surface via :meth:`sampling_info`.
-        self.words_seen = 0
+        #: Shadow words recorded so far (post-merge interval widths; see
+        #: :meth:`note_words`).
         self.words_recorded = 0
-        self._epoch_seen = 0
-        self._epoch_recorded = 0
-        #: Per-epoch ``{"epoch", "seen", "recorded", "sample"}`` records
-        #: (the stride in effect while that epoch was traced).
-        self.epoch_rates: list[dict] = []
         #: Coalesces consecutive same-(alloc, proc, kind) accesses into one
         #: vectorized shadow update (see :mod:`repro.runtime.batch`).
         #: ``Tracer(batch=False)`` restores the one-update-per-call path
@@ -201,39 +157,18 @@ class Tracer(ObserverBase):
         return self._runtime.current_proc if self._runtime else Processor.CPU
 
     # ------------------------------------------------------------------ #
-    # shadow application (batch sink; sampling lives here)
+    # shadow application (batch sink)
 
     def _apply_range(self, block: ShadowBlock, proc: Processor, kind: int,
                      lo: int, hi: int) -> None:
-        """Apply one (possibly coalesced) word interval to the shadow.
-
-        With ``sample=N`` spans of at least N words record every N-th word,
-        strided on the block's own word grid (multiples of N) so that
-        overlapping accesses mark the *same* representative words and the
-        scaled-up estimate stays faithful under overlap; narrower accesses
-        record fully on every N-th call.
-        """
-        n = self.sample
-        step = 1
-        seen = hi - lo
-        if n > 1:
-            if seen >= n:
-                step = n
-                lo = -(-lo // n) * n  # first grid word inside the span
-            else:
-                self._sample_tick += 1
-                if self._sample_tick % n:
-                    self._epoch_seen += seen
-                    return
-        self._epoch_seen += seen
-        self._epoch_recorded += (hi - lo + step - 1) // step \
-            if lo < hi else 0
+        """Apply one (possibly coalesced) word interval to the shadow."""
+        self.words_recorded += hi - lo
         if kind == KIND_READ:
-            block.record_read(proc, lo, hi, step=step)
+            block.record_read(proc, lo, hi)
         elif kind == KIND_WRITE:
-            block.record_write(proc, lo, hi, step=step)
+            block.record_write(proc, lo, hi)
         else:
-            block.record_rmw(proc, lo, hi, step=step)
+            block.record_rmw(proc, lo, hi)
 
     def _trace_span(self, block: ShadowBlock, proc: Processor, kind: int,
                     lo: int, hi: int) -> None:
@@ -256,15 +191,11 @@ class Tracer(ObserverBase):
         ``idx`` is an int array of shadow word indices, one entry per
         traced word per lane (duplicates legal: the shadow ORs bits, and
         heat counts each entry, exactly like the per-thread calls the
-        batch replaces).  Only valid at full rate (the vectorized backend
-        requires ``sample_mode == "off"``), so every counted word is both
-        seen and recorded.  ``count`` overrides the ``len(idx)`` tally
+        batch replaces).  ``count`` overrides the ``len(idx)`` tally
         (pass 0 when the launch accounts its words once via
         :meth:`note_words` instead of per update).
         """
-        n = len(idx) if count is None else count
-        self._epoch_seen += n
-        self._epoch_recorded += n
+        self.words_recorded += len(idx) if count is None else count
         if kind == KIND_READ:
             block.record_read(proc, 0, 0, idx=idx)
         elif kind == KIND_WRITE:
@@ -281,8 +212,7 @@ class Tracer(ObserverBase):
         (:meth:`repro.codegen.gridexec.VecRun._batcher_seen`) and books
         it here in one step.
         """
-        self._epoch_seen += n
-        self._epoch_recorded += n
+        self.words_recorded += n
 
     def note_launch(self, used: str, fallbacks: int = 0) -> None:
         """Record which backend executed a kernel launch (and how many
@@ -393,8 +323,7 @@ class Tracer(ObserverBase):
             # Scattered accesses bypass the batcher but must still respect
             # program order against any pending interval.
             self.flush_trace()
-            self._epoch_seen += len(idx)
-            self._epoch_recorded += len(idx)
+            self.words_recorded += len(idx)
             if is_rmw:
                 block.record_rmw(proc, lo, hi, idx)
             elif is_write:
@@ -422,8 +351,7 @@ class Tracer(ObserverBase):
             if block is not None:
                 lo, hi = block.word_range(dst_off, nbytes)
                 block.record_write(Processor.CPU, lo, hi)
-                self._epoch_seen += hi - lo
-                self._epoch_recorded += hi - lo
+                self.words_recorded += hi - lo
                 if self.heat is not None:
                     self.heat.record(dst, Processor.CPU, is_write=True,
                                      lo=lo, hi=hi)
@@ -435,8 +363,7 @@ class Tracer(ObserverBase):
             if block is not None:
                 lo, hi = block.word_range(src_off, nbytes)
                 block.record_read(Processor.CPU, lo, hi)
-                self._epoch_seen += hi - lo
-                self._epoch_recorded += hi - lo
+                self.words_recorded += hi - lo
                 if self.heat is not None:
                     self.heat.record(src, Processor.CPU, is_write=False,
                                      lo=lo, hi=hi)
@@ -476,140 +403,25 @@ class Tracer(ObserverBase):
         self.smt.flush_graveyard()
         closed = self.epoch
         self.epoch += 1
-        self.words_seen += self._epoch_seen
-        self.words_recorded += self._epoch_recorded
-        self.epoch_rates.append({"epoch": closed,
-                                 "seen": self._epoch_seen,
-                                 "recorded": self._epoch_recorded,
-                                 "sample": self.sample})
-        self._epoch_seen = 0
-        self._epoch_recorded = 0
-        if self.sample_mode == "auto" and self.heat is not None:
-            # Decide the *next* epoch's stride from the epoch that just
-            # closed, before the heat store freezes (and, when streaming,
-            # releases) its open accumulators.
-            self._auto_update(closed)
         if self.heat is not None:
             self.heat.advance_epoch(closed)
         for hook in tuple(self.epoch_hooks):
             hook(closed)
         return self.epoch
 
-    def _auto_update(self, closed: int) -> None:
-        """Adaptive-sampling step: phase-detect, then pick the next stride.
-
-        Full rate while the detector sees a phase transition (and for
-        ``auto_hot`` epochs after it), ``auto_stride`` once the pattern is
-        steady.  The heat store records every word regardless of shadow
-        sampling, so the detector's signal is full-fidelity even while
-        the shadow is strided.
-        """
-        from ..signature.phases import PhaseDetector
-        from ..signature.vector import combine_vectors, epoch_vector
-
-        det = self._auto_detector
-        if det is None:
-            det = self._auto_detector = PhaseDetector(
-                *(() if self._phase_threshold is None
-                  else (self._phase_threshold,)))
-        pairs = []
-        for heat in self.heat._allocs.values():
-            total = int(heat._counts.sum())
-            if total:
-                pairs.append((epoch_vector(heat._counts), total))
-        vec, weight = combine_vectors(pairs)
-        if weight <= 0:
-            return
-        first = not det.started
-        _, changed = det.update(closed, vec, weight)
-        if first or changed:
-            if changed:
-                self.auto_changes += 1
-            self._auto_hot_left = self.auto_hot
-            self.sample = 1
-        else:
-            if self._auto_hot_left > 0:
-                self._auto_hot_left -= 1
-            self.sample = 1 if self._auto_hot_left > 0 else self.auto_stride
-
     def describe(self) -> dict:
-        """Live description of the tracer: mode, strides, true rates.
-
-        Unlike :attr:`sample` (the *configured* stride), the word counters
-        report what actually happened: ``words_seen`` is every shadow word
-        the instrumented program presented, ``words_recorded`` how many
-        the shadow actually kept, and ``measured_rate`` their ratio --
-        the effective sampling rate even under ``sample="auto"``, where
-        the stride varies per epoch (see :attr:`epoch_rates`).
-        """
-        seen = self.words_seen + self._epoch_seen
-        recorded = self.words_recorded + self._epoch_recorded
+        """Live description of the tracer: epoch, word and launch counters."""
         return {
             "enabled": self.enabled,
             "epoch": self.epoch,
-            "mode": self.sample_mode,
-            "sample": self.sample,
-            "auto_stride": self.auto_stride,
-            "phase_changes": self.auto_changes,
-            "words_seen": seen,
-            "words_recorded": recorded,
-            "measured_rate": round(recorded / seen, 6) if seen else 1.0,
+            "words_recorded": self.words_recorded,
             "kernels": len(self.kernels),
             "transfers": len(self.transfers),
-            "epochs": [dict(r) for r in self.epoch_rates],
             "backend": self.backend,
             "backend_launches": {k: self.backend_launches[k]
                                  for k in sorted(self.backend_launches)},
             "backend_fallbacks": self.backend_fallbacks,
         }
-
-    def sampling_info(self) -> dict | None:
-        """Effective sampling rate + estimated fidelity, or ``None``.
-
-        ``None`` for full-rate tracers (every word recorded); otherwise a
-        dict telemetry and report headers embed verbatim so sampled runs
-        are visibly labeled as sampled:
-
-        * ``sample`` -- the stride N (1-in-N words; the steady-state
-          stride in adaptive mode);
-        * ``mode`` -- ``"fixed"`` or ``"auto"``;
-        * ``effective_rate`` -- fraction of words recorded: ``1/N`` for a
-          fixed stride, the measured ratio under ``auto``;
-        * ``measured_rate`` -- recorded/seen words so far (the *true*
-          rate; absent until anything was traced);
-        * ``estimated_fidelity`` -- conservative estimate of how closely
-          scaled-up counts track a full trace.  Dense full-span patterns
-          are exact (the fidelity suite pins this); the estimate decays
-          with the effective stride to cover partial-coverage patterns,
-          matching the relative-error bounds measured in
-          ``tests/perf/test_sampled_fidelity.py``.
-        """
-        if self.sample_mode == "off":
-            return None
-        import math
-        seen = self.words_seen + self._epoch_seen
-        recorded = self.words_recorded + self._epoch_recorded
-        measured = round(recorded / seen, 6) if seen else None
-        if self.sample_mode == "auto":
-            stride = (seen / recorded) if seen and recorded else 1.0
-            info = {"sample": self.auto_stride,
-                    "mode": "auto",
-                    "effective_rate": measured if measured is not None
-                    else 1.0,
-                    "estimated_fidelity": round(
-                        max(0.5, 1.0 - 0.05 * math.log2(max(1.0, stride))),
-                        3),
-                    "phase_changes": self.auto_changes}
-        else:
-            n = self.sample
-            info = {"sample": n,
-                    "mode": "fixed",
-                    "effective_rate": round(1.0 / n, 6),
-                    "estimated_fidelity": round(
-                        max(0.5, 1.0 - 0.05 * math.log2(n)), 3)}
-        if measured is not None:
-            info["measured_rate"] = measured
-        return info
 
     def advice_for(self, alloc: Allocation) -> set[cudaMemoryAdvise]:
         """Advice currently applied to ``alloc`` (set/unset pairs folded).

@@ -15,9 +15,6 @@ The layer that turns raw per-epoch heat (:mod:`repro.heatmap`) into
   with nearest-neighbor matching (the placement-service cache key);
 * :mod:`~repro.signature.cli` -- the ``repro-sig compute|compare|match``
   command line.
-
-The same vectors drive ``Tracer(sample="auto")``: full-rate tracing
-inside detected phase transitions, strided sampling in steady state.
 """
 
 from .index import DEFAULT_MATCH_THRESHOLD, SignatureIndex

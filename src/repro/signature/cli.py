@@ -30,7 +30,6 @@ __all__ = ["main", "compute_signature"]
 
 
 def compute_signature(workload: str, platform: str, *, buckets: int = 64,
-                      sample: int | str | None = None,
                       phase_threshold: float = DEFAULT_THRESHOLD
                       ) -> RunSignature:
     """Replay ``workload`` with heat recording and sign the run."""
@@ -43,8 +42,7 @@ def compute_signature(workload: str, platform: str, *, buckets: int = 64,
 
     preset = PLATFORM_ALIASES.get(platform, platform)
     runner = REPORT_RUNNERS.get(workload, WORKLOADS[workload])
-    session = make_session(preset, trace=True, materialize=True,
-                           sample=sample)
+    session = make_session(preset, trace=True, materialize=True)
     heat = HeatStore(nbuckets=buckets, attribute=False)
     session.tracer.heat = heat
     runner(session)
@@ -104,11 +102,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if not args.workload:
             print("compute needs --workload or --npz", file=sys.stderr)
             return 2
-        sample: int | str | None = args.sample
-        if sample and sample != "auto":
-            sample = int(sample)
         sig = compute_signature(args.workload, args.platform or "pcie",
-                                buckets=args.buckets, sample=sample,
+                                buckets=args.buckets,
                                 phase_threshold=args.phase_threshold)
     out = Path(args.out)
     path = sig.save(out / "signature.json" if not out.suffix else out)
@@ -187,9 +182,6 @@ def main(argv: list[str] | None = None) -> int:
                         "signature.json")
     p.add_argument("--buckets", type=int, default=64,
                    help="word buckets per allocation (default: 64)")
-    p.add_argument("--sample", default=None, metavar="N|auto",
-                   help="shadow sampling: 1-in-N words, or 'auto' for "
-                        "signature-guided adaptive sampling")
     p.add_argument("--phase-threshold", type=float,
                    default=DEFAULT_THRESHOLD,
                    help=f"phase change-point cosine distance "

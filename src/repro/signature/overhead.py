@@ -1,20 +1,11 @@
 """What do signatures and phase tracking cost on top of plain tracing?
 
-Two measurements back the ``repro.signature`` acceptance bars:
-
-* **Overhead** -- a traced run with a heat store attached (the
-  ``repro-report`` configuration) versus the same run with a live
-  :class:`~repro.signature.tracker.PhaseTracker` plus the end-of-run
-  :func:`~repro.signature.vector.signature_from_store` computation.
-  Phase tracking is one vector fold per epoch and the signature a single
-  pass over frozen heat counts, so the bar is < 1.3x over traced.
-
-* **Adaptive fidelity** -- ``Tracer(sample="auto")`` versus a fixed
-  stride granted an equal-or-larger recorded-word budget, scored on a
-  phased synthetic program (each regime repeats a deterministic access
-  pattern in its own region).  Fidelity is per-word agreement between
-  the per-phase union of recorded shadow states and an unsampled run's
-  shadow -- the information diagnostics and signatures are built from.
+A traced run with a heat store attached (the ``repro-report``
+configuration) versus the same run with a live
+:class:`~repro.signature.tracker.PhaseTracker` plus the end-of-run
+:func:`~repro.signature.vector.signature_from_store` computation.  Phase
+tracking is one vector fold per epoch and the signature a single pass
+over frozen heat counts, so the bar is < 1.3x over traced.
 
 Usage::
 
@@ -27,12 +18,8 @@ import argparse
 import io
 import sys
 
-import numpy as np
-
 from ..heatmap.store import HeatStore
-from ..memsim import AddressSpace, MemoryKind, Processor
 from ..memsim.events import EventLog
-from ..runtime import Tracer
 from ..telemetry.overhead import OVERHEAD_WORKLOADS, _timed
 from ..workloads.base import make_session
 from .tracker import PhaseTracker
@@ -40,7 +27,6 @@ from .vector import signature_from_store
 
 __all__ = [
     "measure_signature_overhead",
-    "measure_adaptive_fidelity",
     "format_rows",
     "main",
 ]
@@ -87,78 +73,6 @@ def measure_signature_overhead(
     return rows
 
 
-# --------------------------------------------------------------------- #
-# adaptive-fidelity measurement
-
-_WORDS = 4096
-_QUARTER = _WORDS // 4
-_REGIMES = 4
-_EPOCHS_PER_REGIME = 8
-
-
-def _phased_program() -> list[list[tuple[Processor, bool, int, int]]]:
-    """Each regime repeats one deterministic pattern in its own quarter."""
-    program = []
-    for r in range(_REGIMES):
-        base = r * _QUARTER
-        epoch = [(Processor.GPU, False, base, base + _QUARTER)]
-        for i in range(16):
-            lo = base + (i * 61) % (_QUARTER - 16)
-            epoch.append((Processor.CPU, True, lo, lo + 16))
-        program.extend([epoch] * _EPOCHS_PER_REGIME)
-    return program
-
-
-def _replay(tracer: Tracer) -> list[np.ndarray]:
-    space = AddressSpace()
-    alloc = space.allocate(_WORDS * 4, MemoryKind.MANAGED, label="m")
-    tracer.trc_register(alloc)
-    snapshots = []
-    for epoch in _phased_program():
-        for proc, is_write, lo, hi in epoch:
-            tracer.on_access(proc, alloc, lo * 4, 4, hi - lo,
-                             is_write=is_write, indices=None, is_rmw=False)
-        tracer.flush_trace()
-        snapshots.append(tracer.smt.lookup(alloc.base).shadow.copy())
-        tracer.advance_epoch()
-    return snapshots
-
-
-def _phase_fidelity(snapshots: list[np.ndarray],
-                    reference: list[np.ndarray]) -> float:
-    scores = []
-    for r in range(_REGIMES):
-        lo = r * _EPOCHS_PER_REGIME
-        chunk = snapshots[lo:lo + _EPOCHS_PER_REGIME]
-        union = np.bitwise_or.reduce(np.stack(chunk), axis=0)
-        scores.append(float(np.mean(union == reference[lo])))
-    return sum(scores) / len(scores)
-
-
-def measure_adaptive_fidelity(*, auto_stride: int = 8, auto_hot: int = 2,
-                              fixed_stride: int = 2) -> dict:
-    """Score ``sample="auto"`` against a fixed stride at >= equal budget."""
-    reference = _replay(Tracer())
-
-    auto_tracer = Tracer(sample="auto", auto_stride=auto_stride,
-                         auto_hot=auto_hot)
-    auto_tracer.heat = HeatStore(nbuckets=32, attribute=False)
-    auto_snaps = _replay(auto_tracer)
-
-    fixed_tracer = Tracer(sample=fixed_stride)
-    fixed_snaps = _replay(fixed_tracer)
-
-    auto_desc, fixed_desc = auto_tracer.describe(), fixed_tracer.describe()
-    return {
-        "auto_recorded": auto_desc["words_recorded"],
-        "fixed_recorded": fixed_desc["words_recorded"],
-        "words_seen": auto_desc["words_seen"],
-        "phase_changes": auto_tracer.auto_changes,
-        "auto_fidelity": _phase_fidelity(auto_snaps, reference),
-        "fixed_fidelity": _phase_fidelity(fixed_snaps, reference),
-    }
-
-
 def format_rows(rows: list[dict]) -> str:
     """Render the overhead table as text."""
     out = io.StringIO()
@@ -191,11 +105,6 @@ def main(argv: list[str] | None = None) -> int:
                                       platform=args.platform,
                                       repeats=args.repeats)
     sys.stdout.write(format_rows(rows))
-    fid = measure_adaptive_fidelity()
-    sys.stdout.write(
-        f"adaptive fidelity {fid['auto_fidelity']:.3f} vs fixed "
-        f"{fid['fixed_fidelity']:.3f} at {fid['auto_recorded']} vs "
-        f"{fid['fixed_recorded']} recorded words\n")
     return 0
 
 

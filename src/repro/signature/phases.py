@@ -8,8 +8,7 @@ change-point whenever the cosine distance between the incoming epoch and
 the running (total-weighted) centroid of the current phase exceeds the
 threshold.  The detector is strictly online (one pass, O(features) per
 epoch, no look-ahead), which is what lets the live tracker emit
-``phase_begin`` events mid-run and the adaptive sampler react to
-transitions as they happen.
+``phase_begin`` events mid-run, as transitions happen.
 
 Determinism: pure float arithmetic over deterministic inputs; the same
 epoch stream always segments identically.

@@ -35,7 +35,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run_streaming(
         args.workload, args.platform, args.out, shard=args.shard,
         buckets=args.buckets, materialize=not args.footprint,
-        why=not args.no_why, sample=args.sample,
+        why=not args.no_why,
         log_capacity=args.log_capacity,
         watermark_events=args.watermark)
     manifest = result["manifest"]
@@ -104,8 +104,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="shard identity (default: shard-0)")
     p_run.add_argument("--buckets", type=int, default=64,
                        help="word buckets per allocation (default: 64)")
-    p_run.add_argument("--sample", type=int, default=None,
-                       help="shadow-sampling stride (1-in-N words)")
     p_run.add_argument("--log-capacity", type=int, default=512,
                        help="event-log ring size before evict-to-disk "
                             "(default: 512)")

@@ -65,7 +65,6 @@ class MergedRun:
         self.store = HeatStore(attribute=False)
         self.events: list[dict[str, Any]] = []
         self.allocs: list[dict[str, Any]] = []
-        self.sampling: dict[str, Any] | None = None
         self.summary: dict[str, float] = dict(_SUMMARY_ZERO)
         self.events_dropped = 0
         self.warnings: list[str] = []
@@ -132,8 +131,6 @@ class MergedRun:
             "events": len(self.events),
             "epochs_closed": len(self.store.epochs_closed),
         }
-        if self.sampling:
-            rollup["sampling"] = dict(self.sampling)
         return {
             "type": "stream_manifest",
             "stream_version": STREAM_VERSION,
@@ -225,7 +222,6 @@ class MergedRun:
                 stream={"merged_from": list(self.shards),
                         "events_dropped": self.events_dropped,
                         "warnings": list(self.warnings)},
-                sampling=self.sampling,
                 phases=sig.phases,
                 artifacts=("events.jsonl", "heat.csv", "heat.npz",
                            "metrics.prom", "causes.json",
@@ -263,7 +259,6 @@ def merge_shards(shard_dirs, *, strict: bool = False,
     epoch_markers: set[int] = set()
     alloc_records: dict[tuple[str, int], dict] = {}
     shard_events: list[list[dict]] = []
-    samplings: list[dict] = []
     heat_records_total = 0
 
     for shard_name, path, manifest in loaded:
@@ -281,6 +276,12 @@ def merge_shards(shard_dirs, *, strict: bool = False,
                 warn(f"shard {shard_name} platform {manifest['platform']!r} "
                      f"!= {merged.platform!r}")
             merged.platform = merged.platform or manifest["platform"]
+        stride = manifest.get("config", {}).get("sample", 1)
+        if stride != 1:
+            # Streams written before shadow sampling was removed.  Heat
+            # and driver events were always full-rate, so they merge as-is.
+            warn(f"shard {shard_name} was traced with shadow sampling "
+                 f"(stride {stride}); its diagnoses were sampled estimates")
         rollup = manifest.get("rollup", {})
         merged.events_dropped += int(rollup.get("events_dropped", 0))
         heat_records_total += int(rollup.get("heat_records", 0))
@@ -314,16 +315,12 @@ def merge_shards(shard_dirs, *, strict: bool = False,
                     (rec.get("label", ""), int(rec.get("base", 0))), rec)
             elif rtype == "epoch":
                 epoch_markers.add(int(rec["epoch"]))
-            elif rtype == "sampling":
-                samplings.append(
-                    {k: v for k, v in rec.items() if k != "type"})
         shard_events.append(events)
 
     _merge_events(merged, shard_events, warn)
     _merge_heat(merged, heat_meta, heat_epochs, epoch_markers, warn)
     merged.store.records = heat_records_total
     merged.allocs = [alloc_records[k] for k in sorted(alloc_records)]
-    _merge_sampling(merged, samplings, warn)
     _recount(merged)
     return merged
 
@@ -412,17 +409,6 @@ def _merge_events(merged: MergedRun, shard_events: list[list[dict]],
             ev["cause"] = cause
         out.append(ev)
     merged.events = out
-
-
-def _merge_sampling(merged: MergedRun, samplings: list[dict], warn) -> None:
-    if not samplings:
-        return
-    distinct = {json.dumps(s, sort_keys=True) for s in samplings}
-    if len(distinct) > 1:
-        warn("shards used different sampling strides; reporting the "
-             "coarsest (fidelity is bounded by the worst shard)")
-        samplings.sort(key=lambda s: -int(s.get("sample", 1)))
-    merged.sampling = samplings[0]
 
 
 def _recount(merged: MergedRun) -> None:

@@ -28,7 +28,6 @@ Payload record types (all also JSON, one per line):
   so causal tooling reads both unchanged.
 * ``alloc`` -- allocation-site provenance passthrough (feeds the causal
   blame tables).
-* ``sampling`` -- the tracer's sampling stride and estimated fidelity.
 
 The manifest is the tail-able summary: ``repro-top`` watches it for new
 segments and rollup counters; ``repro-agg`` uses it for identity and

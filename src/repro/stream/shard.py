@@ -27,7 +27,7 @@ __all__ = ["run_streaming", "split_stream"]
 
 #: Record types every split shard needs a copy of to be self-contained
 #: (geometry + provenance headers; the merge dedupes them).
-_HEADER_TYPES = ("alloc_meta", "alloc", "sampling")
+_HEADER_TYPES = ("alloc_meta", "alloc")
 
 
 def run_streaming(
@@ -40,7 +40,6 @@ def run_streaming(
     attribute: bool = True,
     materialize: bool = True,
     why: bool = True,
-    sample: int | str | None = None,
     phases: bool = True,
     log_capacity: int = 512,
     watermark_events: int = 16384,
@@ -51,8 +50,6 @@ def run_streaming(
         that will later be merged together).
     :param why: record causal provenance so the merged run can feed
         ``repro-why`` (cause blocks on every driver event).
-    :param sample: shadow-sampling stride passed to the tracer (an int,
-        or ``"auto"`` for signature-guided adaptive sampling).
     :param phases: track access-pattern phases live and mark
         ``phase_begin``/``phase_end`` events in the stream (the manifest
         rollup carries the current phase for ``repro-top``).
@@ -75,11 +72,9 @@ def run_streaming(
     spiller = StreamSpiller(
         out_dir, shard=shard, workload=workload, platform=preset,
         config={"buckets": buckets, "materialize": materialize,
-                "causes": why, "log_capacity": log_capacity,
-                "sample": sample or 1},
+                "causes": why, "log_capacity": log_capacity},
         watermark_events=watermark_events)
-    session = make_session(preset, trace=True, materialize=materialize,
-                           sample=sample)
+    session = make_session(preset, trace=True, materialize=materialize)
     if why:
         session.platform.um.track_causes = True
     session.platform.events.configure_retention(capacity=log_capacity,
@@ -111,7 +106,7 @@ def split_stream(src_dir: str | Path, out_base: str | Path,
     """Split one complete stream into ``k`` round-robin shard directories.
 
     Segment ``i`` of the source lands in shard ``i % k``; the source's
-    header records (``alloc_meta`` / ``alloc`` / ``sampling``, deduped)
+    header records (``alloc_meta`` / ``alloc``, deduped)
     are prepended to each shard's first segment so every shard is
     self-contained.  The source's drop count is carried by shard 0 only
     (it is a property of the run, not of a slice).
@@ -184,7 +179,5 @@ def split_stream(src_dir: str | Path, out_base: str | Path,
                         "epochs_closed", "phase"):
                 if key in rollup:
                     shard_rollup[key] = rollup[key]
-        if "sampling" in rollup:
-            shard_rollup["sampling"] = dict(rollup["sampling"])
         writer.finalize(shard_rollup)
     return shard_dirs

@@ -197,10 +197,6 @@ class StreamSpiller(ObserverBase):
             for event in log:
                 self._append(encode_driver_event(event))
                 self.events_spilled += 1
-            if self.heat is not None and self.heat.sink == self._on_heat_epoch:
-                info = _sampling_info(session)
-                if info is not None:
-                    self._append(info)
             self._flush_segment()
             log.spill = self._prev_spill
             session.runtime.unsubscribe(self)
@@ -286,20 +282,6 @@ class StreamSpiller(ObserverBase):
             rollup["events_dropped"] = log.dropped_total
             rollup["sim_time"] = session.platform.clock.now
             rollup["gpu_pages_in_use"] = session.platform.um.gpu_pages_in_use
-            info = _sampling_info(session)
-            if info is not None:
-                rollup["sampling"] = {k: v for k, v in info.items()
-                                      if k != "type"}
         if self.phase_source is not None:
             rollup["phase"] = self.phase_source.rollup()
         return rollup
-
-
-def _sampling_info(session: "Session") -> dict[str, Any] | None:
-    tracer = session.tracer
-    if tracer is None:
-        return None
-    info = tracer.sampling_info()
-    if info is None:
-        return None
-    return {"type": "sampling", **info}

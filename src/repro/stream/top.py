@@ -217,10 +217,8 @@ class Monitor:
         return lines
 
     def _counter_lines(self, totals: dict[str, float]) -> list[str]:
-        sampling = None
         phase = None
         for view in self.views:
-            sampling = view.rollup.get("sampling") or sampling
             p = view.rollup.get("phase")
             # The freshest shard (highest closed epoch) owns the live view.
             if p and (phase is None or p.get("epoch", -1)
@@ -252,11 +250,6 @@ class Monitor:
                 f"phase      #{phase.get('current', 0)} "
                 f"(epoch {phase.get('epoch', -1)}, "
                 f"{phase.get('changes', 0)} change(s))")
-        if sampling:
-            mode = f", {sampling['mode']}" if sampling.get("mode") else ""
-            lines.append(
-                f"sampling   1-in-{sampling.get('sample')} words{mode} "
-                f"(est. fidelity {sampling.get('estimated_fidelity')})")
         if totals["events_dropped"]:
             lines.append(f"!! {_fmt(totals['events_dropped'])} event(s) "
                          "dropped from retention (no spill sink)")

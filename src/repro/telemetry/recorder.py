@@ -125,9 +125,6 @@ class TelemetryRecorder(ObserverBase):
         #: stream (set by CLIs before the first attach).
         self.workload = ""
         self.config: dict[str, Any] = {}
-        #: Sampling regime of the last sampled tracer attached (stride,
-        #: effective rate, estimated fidelity) -- ``None`` for dense runs.
-        self.sampling: dict[str, Any] | None = None
         #: Backend attribution of the last compiled-backend tracer
         #: finalised (backend, launch counts, fallbacks) -- ``None`` for
         #: plain interpreter runs.
@@ -209,7 +206,6 @@ class TelemetryRecorder(ObserverBase):
         platform.events.add_drop_listener(drop_listener)
         platform.um.metrics_hook = self._metrics_hook
         if tracer is not None:
-            self._record_sampling(tracer)
             def epoch_hook(epoch: int, _hooks=hooks) -> None:
                 self._on_epoch(_hooks, epoch)
             hooks.epoch_hook = epoch_hook
@@ -258,25 +254,6 @@ class TelemetryRecorder(ObserverBase):
     def attached(self) -> bool:
         """Whether at least one session is currently wired in."""
         return bool(self._sessions)
-
-    def _record_sampling(self, tracer: "Tracer") -> None:
-        """Surface the tracer's sampling regime across all three sinks.
-
-        Dense tracing (stride 1) records nothing; a sampled run gets a
-        ``sampling`` JSONL record plus stride/fidelity gauges so report
-        consumers can flag that heat and diagnostics are estimates.
-        """
-        info = tracer.sampling_info()
-        if info is None:
-            return
-        self.sampling = dict(info)
-        self.metrics.gauge("sampling_stride",
-                           "shadow sampling stride (1-in-N words)"
-                           ).set(info["sample"])
-        self.metrics.gauge("sampling_estimated_fidelity",
-                           "estimated diagnostic fidelity under sampling"
-                           ).set(info["estimated_fidelity"])
-        self._write({"type": "sampling", **info})
 
     def _record_backend(self, hooks: _SessionHooks) -> None:
         """Surface the tracer's execution-backend attribution once.

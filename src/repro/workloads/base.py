@@ -64,7 +64,6 @@ def make_session(
     trace: bool = True,
     materialize: bool = True,
     gpu_memory_bytes: int | None = None,
-    sample: int | str | None = None,
 ) -> Session:
     """Build a fresh simulated session.
 
@@ -72,12 +71,6 @@ def make_session(
     :param trace: attach an XPlacer tracer.
     :param materialize: back allocations with real numpy buffers.
     :param gpu_memory_bytes: override GPU memory (oversubscription studies).
-    :param sample: shadow-sampling stride (1-in-N words); ``None``/1 traces
-        densely.  ``"auto"`` enables signature-guided adaptive sampling:
-        full rate around detected phase changes, strided in steady state
-        (needs a heat store attached to the tracer to take effect).  The
-        tracer's effective rate and estimated fidelity are surfaced
-        through :meth:`~repro.runtime.Tracer.sampling_info`.
     """
     if isinstance(platform, str):
         factory = PLATFORMS[platform]
@@ -88,7 +81,7 @@ def make_session(
     else:
         plat = platform
     runtime = CudaRuntime(plat, materialize=materialize)
-    tracer = Tracer(sample=sample).attach(runtime) if trace else None
+    tracer = Tracer().attach(runtime) if trace else None
     recorder = telemetry_context.current_recorder()
     if recorder is not None:
         recorder.attach(runtime, tracer,

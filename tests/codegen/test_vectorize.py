@@ -26,6 +26,18 @@ int main() { return 0; }
 """
 
 
+class _Spy(Tracer):
+    """Overrides a trace hook, so no compiled tier may run it."""
+
+    def __init__(self):
+        super().__init__()
+        self.hits = 0
+
+    def traceR(self, addr, size=4, site=None):
+        self.hits += 1
+        return super().traceR(addr, size, site)
+
+
 def _analyze(source: str, name: str):
     fn = _kernel(source, name)
     res = resolve_kernel(fn)
@@ -190,21 +202,6 @@ class TestRuntimeFallback:
         assert info["launches"] == {"codegen-vec": 1}
         assert info["fallbacks"] == 0
 
-    def test_sampling_demotes_vec_to_scalar(self):
-        """Batched shadow updates cannot reproduce 1-in-N word sampling;
-        explicit codegen-vec demotes (and counts it), auto stays silent."""
-        explicit = run_program(SHARED_READ, tracer=Tracer(sample=4),
-                               backend="codegen-vec")
-        info = explicit.tracer.backend_info()
-        assert info["launches"] == {"codegen": 1}
-        assert info["fallbacks"] == 1
-
-        auto = run_program(SHARED_READ, tracer=Tracer(sample=4),
-                           backend="auto")
-        info = auto.tracer.backend_info()
-        assert info["launches"] == {"codegen": 1}
-        assert info["fallbacks"] == 0
-
     def test_vec_runtime_error_reproduced_per_thread(self):
         """A lane-level division by zero bails the vectorized attempt;
         the scalar re-run raises the authentic per-thread error."""
@@ -231,18 +228,19 @@ int main() {
     def test_debug_tracer_subclass_forces_scalar_fallback(self):
         """A tracer overriding trace hooks would miss batched updates;
         the ladder must not hand it to a compiled trace path."""
-
-        class Spy(Tracer):
-            def __init__(self):
-                super().__init__()
-                self.hits = 0
-
-            def traceR(self, addr, size=4, site=None):
-                self.hits += 1
-                return super().traceR(addr, size, site)
-
-        spy = Spy()
+        spy = _Spy()
         it = run_program(SHARED_READ, tracer=spy, backend="auto")
         info = it.tracer.backend_info()
         assert info["launches"] == {"interp": 1}  # no compiled trace path
         assert spy.hits > 0
+
+    @pytest.mark.parametrize("backend, fallbacks",
+                             [("auto", 1), ("codegen-vec", 2), ("codegen", 1)])
+    def test_subclass_fallbacks_per_requested_backend(self, backend,
+                                                      fallbacks):
+        """An explicitly requested codegen-vec the subclass cannot use
+        counts its own dropped tier; auto skips it silently."""
+        info = run_program(SHARED_READ, tracer=_Spy(),
+                           backend=backend).tracer.backend_info()
+        assert info["launches"] == {"interp": 1}
+        assert info["fallbacks"] == fallbacks

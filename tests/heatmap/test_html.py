@@ -137,11 +137,3 @@ class TestBanners:
         assert "merged from 3 shard(s)" in html
         assert "400 event(s) spilled to disk" in html
         assert "skipping truncated &lt;seg&gt;" in html  # escaped
-
-    def test_sampling_banner(self, store):
-        html = build_report(workload="w", platform="p", store=store,
-                            sampling={"sample": 8, "effective_rate": 0.125,
-                                      "estimated_fidelity": 0.85})
-        assert "sampled tracing: 1-in-8 words" in html
-        assert "effective rate 0.125" in html
-        assert "estimated fidelity 0.85" in html

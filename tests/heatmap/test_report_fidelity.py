@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.heatmap.cli import run_report
-from repro.runtime import Tracer
 
 
 @pytest.fixture(scope="module")
@@ -50,45 +49,9 @@ class TestArtifactSizes:
 
 
 class TestSamplingProvenance:
-    @pytest.fixture(scope="class")
-    def sampled(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("sampled")
-        return run_report("pathfinder", "pcie", out, sample=4), out
-
-    def test_sampling_record_in_jsonl(self, sampled):
-        paths, out = sampled
-        records = [json.loads(line) for line
-                   in (out / "events.jsonl").read_text().splitlines()]
-        assert records[0]["type"] == "manifest"
-        assert records[0]["config"]["sample"] == 4
-        sampling = [r for r in records if r["type"] == "sampling"]
-        assert len(sampling) == 1
-        assert sampling[0]["sample"] == 4
-        assert sampling[0]["effective_rate"] == 0.25
-        assert 0.5 <= sampling[0]["estimated_fidelity"] < 1.0
-
-    def test_sampling_gauges_in_metrics(self, sampled):
-        paths, _ = sampled
-        prom = paths["metrics"].read_text()
-        assert "xplacer_sampling_stride 4" in prom
-        assert "xplacer_sampling_estimated_fidelity" in prom
-
-    def test_report_header_banner(self, sampled):
-        paths, _ = sampled
-        html = paths["report"].read_text()
-        assert "sampled tracing: 1-in-4 words" in html
-        assert "estimated fidelity" in html
-
     def test_dense_run_has_no_sampling_artifacts(self, lulesh_report):
         paths, out = lulesh_report
         assert "sampled tracing" not in paths["report"].read_text()
         types = {json.loads(line)["type"] for line
                  in (out / "events.jsonl").read_text().splitlines()}
         assert "sampling" not in types
-
-    def test_sampling_info_matches_fidelity_model(self):
-        info = Tracer(sample=16).sampling_info()
-        assert info["effective_rate"] == 1 / 16
-        assert info["estimated_fidelity"] == round(
-            max(0.5, 1 - 0.05 * np.log2(16)), 3)
-        assert Tracer().sampling_info() is None

@@ -1,18 +1,26 @@
 """Merge algebra goldens: split-and-remerge byte-matches the single run."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.heatmap.cli import REPORT_RUNNERS
 from repro.heatmap.store import HeatStore
 from repro.stream.merge import merge_shards
-from repro.stream.segments import TruncatedSegmentError, segment_files
+from repro.stream.segments import (TruncatedSegmentError, load_manifest,
+                                   segment_files)
 from repro.stream.shard import run_streaming, split_stream
 from repro.telemetry.events_jsonl import encode_driver_event
 from repro.workloads.base import make_session
 
 K = 4
+
+#: A pathfinder stream written by ``repro-agg run --platform pcie
+#: --sample 4 --log-capacity 64`` before shadow sampling was removed: six
+#: segments, a ``sampling`` record in the last one, and ``rollup.sampling``
+#: plus ``config.sample`` in the manifest.
+LEGACY = Path(__file__).parent / "data" / "legacy-sampled-pathfinder"
 
 
 @pytest.fixture(scope="module")
@@ -219,16 +227,51 @@ class TestIndependentRuns:
                     "remote_accesses"):
             assert merged.summary[key] == sa[key] + sb[key], key
 
-    def test_sampling_coarsest_stride_wins(self, tmp_path):
-        run_streaming("pathfinder", "pcie", tmp_path / "s2", shard="s2",
-                      sample=2)
-        run_streaming("pathfinder", "pcie", tmp_path / "s4", shard="s4",
-                      sample=4)
+
+class TestLegacySampledShard:
+    @pytest.fixture(scope="class")
+    def bundles(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("legacy")
+        run_streaming("pathfinder", "pcie", base / "dense", log_capacity=64)
         warned = []
-        merged = merge_shards([tmp_path / "s2", tmp_path / "s4"],
-                              on_warning=warned.append)
-        assert merged.sampling["sample"] == 4
-        assert any("sampling" in w for w in warned)
+        merge_shards([LEGACY], on_warning=warned.append).write(base / "legacy")
+        merge_shards([base / "dense"]).write(base / "dense-merged")
+        return base / "legacy", base / "dense-merged", warned
+
+    def test_one_warning_names_shard_and_stride(self, bundles):
+        _, _, warned = bundles
+        assert warned == ["shard shard-0 was traced with shadow sampling "
+                          "(stride 4); its diagnoses were sampled estimates"]
+
+    @pytest.mark.parametrize("name",
+                             ["heat.csv", "causes.json", "signature.json"])
+    def test_artifacts_match_dense_merge(self, bundles, name):
+        legacy, dense, _ = bundles
+        assert (legacy / name).read_bytes() == (dense / name).read_bytes()
+
+    def test_warning_is_the_only_report_trace(self, bundles):
+        legacy, _, _ = bundles
+        html = (legacy / "report.html").read_text()
+        assert html.count("sampled estimates") == 1  # the warning line
+        assert "sampled tracing" not in html  # no sampling banner
+        assert "sampling" not in json.loads(
+            (legacy / "manifest.json").read_text())["rollup"]
+
+    def test_manifest_and_top_accept_fixture(self, capsys):
+        from repro.stream.top import main
+
+        assert load_manifest(LEGACY)["config"]["sample"] == 4
+        assert main([str(LEGACY), "--frames", "1", "--interval", "0",
+                     "--no-clear", "--no-color"]) == 0
+        assert "pathfinder on intel-pascal" in capsys.readouterr().out
+
+    def test_cli_merge_prints_warning(self, tmp_path, capsys):
+        from repro.stream.cli import main
+
+        assert main(["merge", str(LEGACY), "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: shard shard-0 was traced with shadow "
+                         "sampling (stride 4)") == 1
 
 
 class TestCli:

@@ -88,8 +88,8 @@ class TestEventLogOverflow:
         assert log.of_kind(EventKind.PAGE_FAULT) == []
 
 
-def _heat_session(sample=None):
-    return make_session("intel-pascal", trace=True, sample=sample)
+def _heat_session():
+    return make_session("intel-pascal", trace=True)
 
 
 def _touch(session, label="v", pages=4):
@@ -127,8 +127,8 @@ class TestSpillingHeatStore:
 
 
 class TestStreamSpiller:
-    def _run(self, tmp_path, *, log_capacity=4, epochs=3, sample=None):
-        session = _heat_session(sample=sample)
+    def _run(self, tmp_path, *, log_capacity=4, epochs=3):
+        session = _heat_session()
         session.platform.events.configure_retention(capacity=log_capacity,
                                                     ring=True)
         heat = SpillingHeatStore(nbuckets=8)
@@ -174,13 +174,6 @@ class TestStreamSpiller:
         assert rollup["heat_epochs_spilled"] == spiller.heat_epochs_spilled > 0
         assert rollup["summary"]["fault_groups"] > 0
         assert rollup["sim_time"] > 0
-
-    def test_sampling_recorded_when_sampled(self, tmp_path):
-        _, _, manifest, _ = self._run(tmp_path, sample=4)
-        assert manifest["rollup"]["sampling"]["sample"] == 4
-        records = list(iter_shard_records(tmp_path, strict=True))
-        sampling = [r for r in records if r["type"] == "sampling"]
-        assert sampling and sampling[0]["effective_rate"] == 0.25
 
     def test_close_unwires_and_is_idempotent(self, tmp_path):
         session, spiller, _, _ = self._run(tmp_path)
