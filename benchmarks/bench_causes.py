@@ -2,8 +2,9 @@
 
 Cause links piggyback on events the driver already records, so their
 marginal cost over plain tracing must stay small -- the acceptance bar
-is < 2.5x over the ``traced`` configuration even with per-API source-
-site stack walks (the expensive half; ``--no-sites`` captures skip it).
+is < 2.5x over the ``telemetry`` configuration (tracer + recorder) even
+with per-API source-site stack walks (the expensive half; ``--no-sites``
+captures skip it).
 The bar was 2x before the PR-5 fast paths; those sped up the *traced*
 denominator while the stack walks' absolute cost is unchanged, so the
 same provenance work now reads as a larger relative ratio.
@@ -13,13 +14,13 @@ measured ratio below 1.0 means "within noise of free", and committing a
 lucky sub-1.0 sample would set an unmeetable bar for the +25% guard.
 """
 
-from repro.causes.overhead import measure_causes_overhead
+from repro.telemetry.overhead import measure_overhead
 
 
 def test_causal_recording_under_2x_of_traced(once, bench_record):
-    rows = once(measure_causes_overhead, workloads=("sw",), repeats=3)
+    rows = once(measure_overhead, workloads=("sw",), repeats=3)
     for r in rows:
-        print(f"\n{r['workload']}: causes {r['causes_x']:.2f}x over traced "
+        print(f"\n{r['workload']}: causes {r['causes_x']:.2f}x over telemetry "
               f"({r['causes_no_sites_x']:.2f}x without site walks)")
         bench_record(f"causes_overhead_{r['workload']}", file="causes",
                      causes_x=round(max(r["causes_x"], 1.0), 3),

@@ -12,11 +12,11 @@ perf-regression check (a >25% ratio regression fails the run).
 
 import time
 
-from repro.heatmap.cli import REPORT_RUNNERS
 from repro.heatmap.store import HeatStore
 from repro.stream.merge import merge_shards
 from repro.stream.shard import run_streaming, split_stream
 from repro.workloads.base import make_session
+from repro.workloads.registry import WORKLOADS
 
 WORKLOAD = "lulesh"
 REPEATS = 2
@@ -27,7 +27,7 @@ def _in_memory() -> None:
     session.platform.um.track_causes = True
     heat = HeatStore(nbuckets=64, attribute=True)
     session.tracer.heat = heat
-    REPORT_RUNNERS[WORKLOAD](session)
+    WORKLOADS[WORKLOAD](session, per_iteration=True)
 
 
 def _best(fn) -> float:

@@ -62,10 +62,10 @@ def run_with_causes(workload: str, platform: str, out_dir: str | Path,
     ``causes.json``, the causal blame report.  Returns a dict with the
     artifact ``paths``, the ``report`` and the workload ``run``.
     """
-    from ..telemetry.cli import PLATFORM_ALIASES, WORKLOADS
+    from ..workloads.registry import resolve_platform, resolve_workload
 
-    preset = PLATFORM_ALIASES.get(platform, platform)
-    runner = WORKLOADS[workload]
+    preset = resolve_platform(platform)
+    runner = resolve_workload(workload)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

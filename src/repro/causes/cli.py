@@ -27,29 +27,22 @@ __all__ = ["main"]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from ..telemetry.cli import PLATFORM_ALIASES, WORKLOADS
+    from ..workloads.registry import UnknownNameError, listing
 
     if args.list:
-        print("workloads: " + ", ".join(sorted(WORKLOADS)))
-        print("platforms: " + ", ".join(
-            f"{alias}->{name}" for alias, name in sorted(PLATFORM_ALIASES.items())))
+        print(listing(), end="")
         return 0
     if args.out is None:
         print("repro-why run: --out is required (unless --list)",
               file=sys.stderr)
         return 2
-    preset = PLATFORM_ALIASES.get(args.platform, args.platform)
-    if preset not in {"intel-pascal", "intel-volta", "power9-volta"}:
-        print(f"unknown platform {args.platform!r}; known: "
-              + ", ".join(sorted(PLATFORM_ALIASES)), file=sys.stderr)
+    try:
+        result = run_with_causes(args.workload, args.platform, args.out,
+                                 materialize=not args.footprint,
+                                 sites=not args.no_sites)
+    except UnknownNameError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    if args.workload not in WORKLOADS:
-        print(f"unknown workload {args.workload!r}; known: "
-              + ", ".join(sorted(WORKLOADS)), file=sys.stderr)
-        return 2
-    result = run_with_causes(args.workload, preset, args.out,
-                             materialize=not args.footprint,
-                             sites=not args.no_sites)
     if args.json:
         print(json.dumps(result["report"], indent=2))
     else:

@@ -20,27 +20,18 @@ from pathlib import Path
 
 from ..heatmap.ansi import supports_color
 from ..memsim import PLATFORMS
+from ..workloads.registry import UnknownNameError, resolve_platform
 from .engine import DebugEngine
 from .repl import DebugSession
 
 __all__ = ["main"]
 
-#: Accepted ``--platform`` spellings (mirrors the telemetry CLI).
-PLATFORM_ALIASES = {
-    "pcie": "intel-pascal",
-    "pcie-pascal": "intel-pascal",
-    "pcie-volta": "intel-volta",
-    "nvlink": "power9-volta",
-    **{name: name for name in PLATFORMS},
-}
-
 
 def _build_platform(name: str, gpu_mem: int):
-    resolved = PLATFORM_ALIASES.get(name)
-    if resolved is None:
-        known = ", ".join(sorted(PLATFORM_ALIASES))
-        raise SystemExit(f"unknown platform {name!r} (known: {known})")
-    factory = PLATFORMS[resolved]
+    try:
+        factory = PLATFORMS[resolve_platform(name)]
+    except UnknownNameError as exc:
+        raise SystemExit(str(exc)) from None
     if gpu_mem:
         return factory(gpu_memory_bytes=gpu_mem)
     return factory()

@@ -20,7 +20,7 @@ __all__ = ["main", "rows_to_csv", "PLACEMENT_PAIRS"]
 
 #: Experiments comparing two placement variants of one workload:
 #: experiment id -> (baseline workload, optimized/advised workload), both
-#: names from :data:`repro.telemetry.cli.WORKLOADS`.  ``--why`` captures
+#: names from :data:`repro.workloads.registry.WORKLOADS`.  ``--why`` captures
 #: each variant with causal provenance and auto-diffs the pair.
 PLACEMENT_PAIRS: dict[str, tuple[str, str]] = {
     "fig9": ("sw", "sw-advised"),

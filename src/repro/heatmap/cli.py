@@ -9,10 +9,10 @@ access heat, and renders everything into a single self-contained
 ``--ansi`` additionally prints the terminal heatmap (honours ``NO_COLOR``;
 ``--epoch N`` scrubs to one epoch).
 
-Where ``repro-trace`` diagnoses once at the end, the report runners prefer
-workload variants that diagnose *every iteration* so each epoch freezes
-its own heat row -- that per-epoch sequence is the temporal axis of the
-heatmaps.
+Where ``repro-trace`` diagnoses once at the end, the report runs each
+workload with ``per_iteration=True``: the variants that diagnose *every
+iteration* freeze one heat row per epoch -- that per-epoch sequence is
+the temporal axis of the heatmaps.
 """
 
 from __future__ import annotations
@@ -20,60 +20,28 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
 
 from ..analysis import diagnose
 from ..signature.tracker import PhaseTracker
 from ..telemetry import context
-from ..telemetry.cli import PLATFORM_ALIASES, WORKLOADS
 from ..telemetry.events_jsonl import JsonlWriter
 from ..telemetry.recorder import TelemetryRecorder
-from ..workloads.base import Session, WorkloadRun, make_session
+from ..workloads.base import make_session
+from ..workloads.registry import (
+    PER_ITERATION,
+    PLATFORM_ALIASES,
+    WORKLOADS,
+    UnknownNameError,
+    listing,
+    resolve_platform,
+    resolve_workload,
+)
 
 from .ansi import render_store, supports_color
 from .html import build_report
 from .store import HeatStore
 
-__all__ = ["main", "REPORT_RUNNERS", "run_report"]
-
-
-def _pathfinder(session: Session) -> WorkloadRun:
-    from ..workloads.rodinia import Pathfinder
-    return Pathfinder(session, cols=8192, rows=40, pyramid_height=8,
-                      diagnose_each_iteration=True).run()
-
-
-def _lulesh(session: Session) -> WorkloadRun:
-    from ..workloads.lulesh import Lulesh
-    return Lulesh(session, 8, diagnose_each_step=True).run(6)
-
-
-def _sw(session: Session) -> WorkloadRun:
-    from ..workloads.smithwaterman import SmithWaterman
-    return SmithWaterman(session, 192, diagnose_each_iteration=True).run()
-
-
-def _sw_rotated(session: Session) -> WorkloadRun:
-    from ..workloads.smithwaterman import RotatedSmithWaterman
-    return RotatedSmithWaterman(session, 192,
-                                diagnose_each_iteration=True).run()
-
-
-def _lud(session: Session) -> WorkloadRun:
-    from ..workloads.rodinia import Lud
-    return Lud(session, size=64, diagnose_each_iteration=True).run()
-
-
-#: Per-iteration-diagnosing runners (epoch-rich heat).  Workloads absent
-#: here fall back to the ``repro-trace`` runners, which diagnose once at
-#: the end -- their heatmap collapses to a single epoch row.
-REPORT_RUNNERS: dict[str, Callable[[Session], WorkloadRun]] = {
-    "pathfinder": _pathfinder,
-    "lulesh": _lulesh,
-    "sw": _sw,
-    "sw-rotated": _sw_rotated,
-    "lud": _lud,
-}
+__all__ = ["main", "run_report"]
 
 
 def run_report(workload: str, platform: str, out_dir: str | Path, *,
@@ -95,8 +63,8 @@ def run_report(workload: str, platform: str, out_dir: str | Path, *,
     If any driver events fell out of retention un-spilled, the report
     leads with a data-loss warning.
     """
-    preset = PLATFORM_ALIASES.get(platform, platform)
-    runner = REPORT_RUNNERS.get(workload, WORKLOADS[workload])
+    preset = resolve_platform(platform)
+    runner = resolve_workload(workload)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -115,7 +83,7 @@ def run_report(workload: str, platform: str, out_dir: str | Path, *,
             log=session.platform.events,
             clock=lambda: session.platform.clock.now,
         ).attach(session.tracer, heat)
-        run = runner(session)
+        run = runner(session, per_iteration=True)
         diagnoses = list(run.diagnoses)
         if session.tracer is not None:
             final = diagnose(session.tracer, include_unnamed=True)
@@ -199,25 +167,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        print("workloads: " + ", ".join(sorted(WORKLOADS)))
-        print("per-iteration heat: " + ", ".join(sorted(REPORT_RUNNERS)))
-        print("platforms: " + ", ".join(
-            f"{alias}->{name}"
-            for alias, name in sorted(PLATFORM_ALIASES.items())))
+        print(listing(("per-iteration heat", sorted(PER_ITERATION))), end="")
         return 0
     if args.out is None:
         parser.error("--out is required (unless --list)")
-    preset = PLATFORM_ALIASES.get(args.platform, args.platform)
-    if preset not in {"intel-pascal", "intel-volta", "power9-volta"}:
-        print(f"unknown platform {args.platform!r}; known: "
-              + ", ".join(sorted(PLATFORM_ALIASES)), file=sys.stderr)
+    try:
+        preset = resolve_platform(args.platform)
+        paths = run_report(args.workload, preset, args.out,
+                           buckets=args.buckets,
+                           attribute=not args.no_attribution,
+                           materialize=not args.footprint,
+                           why=args.why)
+    except UnknownNameError as exc:
+        print(exc, file=sys.stderr)
         return 2
-
-    paths = run_report(args.workload, preset, args.out,
-                       buckets=args.buckets,
-                       attribute=not args.no_attribution,
-                       materialize=not args.footprint,
-                       why=args.why)
     store: HeatStore = paths.pop("store")  # type: ignore[assignment]
     if args.ansi:
         color = False if args.no_color else supports_color()

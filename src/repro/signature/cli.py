@@ -34,18 +34,17 @@ def compute_signature(workload: str, platform: str, *, buckets: int = 64,
                       ) -> RunSignature:
     """Replay ``workload`` with heat recording and sign the run."""
     from ..analysis import diagnose
-    from ..heatmap.cli import REPORT_RUNNERS
     from ..heatmap.store import HeatStore
-    from ..telemetry.cli import PLATFORM_ALIASES, WORKLOADS
     from ..workloads.base import make_session
+    from ..workloads.registry import resolve_platform, resolve_workload
     from .vector import signature_from_store
 
-    preset = PLATFORM_ALIASES.get(platform, platform)
-    runner = REPORT_RUNNERS.get(workload, WORKLOADS[workload])
+    preset = resolve_platform(platform)
+    runner = resolve_workload(workload)
     session = make_session(preset, trace=True, materialize=True)
     heat = HeatStore(nbuckets=buckets, attribute=False)
     session.tracer.heat = heat
-    runner(session)
+    runner(session, per_iteration=True)
     diagnose(session.tracer, include_unnamed=True)
     heat.flush_current()
     return signature_from_store(heat, workload=workload, platform=preset,
@@ -102,9 +101,15 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if not args.workload:
             print("compute needs --workload or --npz", file=sys.stderr)
             return 2
-        sig = compute_signature(args.workload, args.platform or "pcie",
-                                buckets=args.buckets,
-                                phase_threshold=args.phase_threshold)
+        from ..workloads.registry import UnknownNameError
+
+        try:
+            sig = compute_signature(args.workload, args.platform or "pcie",
+                                    buckets=args.buckets,
+                                    phase_threshold=args.phase_threshold)
+        except UnknownNameError as exc:
+            print(exc, file=sys.stderr)
+            return 2
     out = Path(args.out)
     path = sig.save(out / "signature.json" if not out.suffix else out)
     if args.json:

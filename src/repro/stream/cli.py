@@ -32,12 +32,18 @@ __all__ = ["main"]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    result = run_streaming(
-        args.workload, args.platform, args.out, shard=args.shard,
-        buckets=args.buckets, materialize=not args.footprint,
-        why=not args.no_why,
-        log_capacity=args.log_capacity,
-        watermark_events=args.watermark)
+    from ..workloads.registry import UnknownNameError
+
+    try:
+        result = run_streaming(
+            args.workload, args.platform, args.out, shard=args.shard,
+            buckets=args.buckets, materialize=not args.footprint,
+            why=not args.no_why,
+            log_capacity=args.log_capacity,
+            watermark_events=args.watermark)
+    except UnknownNameError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     manifest = result["manifest"]
     rollup = manifest.get("rollup", {})
     print(f"{args.workload} on {manifest.get('platform')}: "

@@ -61,12 +61,11 @@ def run_streaming(
     Returns ``{"manifest": final stream manifest, "run": WorkloadRun,
     "sim_time": float}``.
     """
-    from ..heatmap.cli import REPORT_RUNNERS
-    from ..telemetry.cli import PLATFORM_ALIASES, WORKLOADS
     from ..workloads.base import make_session
+    from ..workloads.registry import resolve_platform, resolve_workload
 
-    preset = PLATFORM_ALIASES.get(platform, platform)
-    runner = REPORT_RUNNERS.get(workload, WORKLOADS[workload])
+    preset = resolve_platform(platform)
+    runner = resolve_workload(workload)
 
     heat = SpillingHeatStore(nbuckets=buckets, attribute=attribute)
     spiller = StreamSpiller(
@@ -92,7 +91,7 @@ def run_streaming(
     spiller.attach(session, heat=heat)
     spiller.phase_source = tracker
     try:
-        run = runner(session)
+        run = runner(session, per_iteration=True)
     finally:
         if tracker is not None:
             tracker.finish()  # phase_end lands before the final drain

@@ -14,9 +14,10 @@ metric hooks, and fans everything out to three sinks:
 * :mod:`repro.telemetry.events_jsonl` -- manifest-led structured event
   streaming (``events.jsonl``).
 
-:mod:`repro.telemetry.overhead` measures what all of this costs (the
-shape of the paper's Table III), and :mod:`repro.telemetry.cli` is the
-``repro-trace`` command that replays any workload with telemetry on.
+:mod:`repro.telemetry.overhead` measures what this and every other
+observation layer costs (the shape of the paper's Table III), and
+:mod:`repro.telemetry.cli` is the ``repro-trace`` command that replays
+any workload with telemetry on.
 """
 
 from .context import current_recorder, install, uninstall
@@ -31,9 +32,10 @@ from .events_jsonl import (
 from .metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
 from .recorder import TelemetryRecorder
 
-# NOTE: repro.telemetry.overhead and repro.telemetry.cli import the
-# workloads package (which itself consults repro.telemetry.context), so
-# they are intentionally NOT imported here -- import them as submodules.
+# NOTE: repro.telemetry.cli and repro.telemetry.overhead import
+# repro.workloads.registry, whose package consults repro.telemetry.context;
+# overhead also imports the heatmap and signature layers it prices.  They
+# are intentionally NOT imported here -- import them as submodules.
 from .timeline import (
     TRACK_DRIVER,
     TRACK_GPU,

@@ -18,112 +18,23 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
 
 from ..analysis import diagnose
-from ..workloads.base import Session, WorkloadRun, make_session
+from ..workloads.base import make_session
+from ..workloads.registry import (
+    PLATFORM_ALIASES,
+    WORKLOADS,
+    UnknownNameError,
+    listing,
+    resolve_platform,
+    resolve_workload,
+)
 
 from . import context
 from .events_jsonl import JsonlWriter
 from .recorder import TelemetryRecorder
 
-__all__ = ["main", "WORKLOADS", "PLATFORM_ALIASES", "run_traced"]
-
-#: Friendly platform spellings accepted by ``--platform``.
-PLATFORM_ALIASES = {
-    "pcie": "intel-pascal",
-    "pcie-pascal": "intel-pascal",
-    "pcie-volta": "intel-volta",
-    "nvlink": "power9-volta",
-    "intel-pascal": "intel-pascal",
-    "intel-volta": "intel-volta",
-    "power9-volta": "power9-volta",
-}
-
-
-def _pathfinder(session: Session) -> WorkloadRun:
-    from ..workloads.rodinia import Pathfinder
-    return Pathfinder(session, cols=8192, rows=40, pyramid_height=8).run()
-
-
-def _pathfinder_opt(session: Session) -> WorkloadRun:
-    from ..workloads.rodinia import OverlappedPathfinder
-    return OverlappedPathfinder(session, cols=8192, rows=40,
-                                pyramid_height=8).run()
-
-
-def _lulesh(session: Session) -> WorkloadRun:
-    from ..workloads.lulesh import Lulesh
-    return Lulesh(session, 8).run(6)
-
-
-def _sw(session: Session) -> WorkloadRun:
-    from ..workloads.smithwaterman import SmithWaterman
-    return SmithWaterman(session, 192).run()
-
-
-def _sw_rotated(session: Session) -> WorkloadRun:
-    from ..workloads.smithwaterman import RotatedSmithWaterman
-    return RotatedSmithWaterman(session, 192).run()
-
-
-def _sw_advised(session: Session) -> WorkloadRun:
-    from ..workloads.smithwaterman import AdvisedSmithWaterman
-    return AdvisedSmithWaterman(session, 192).run()
-
-
-def _backprop(session: Session) -> WorkloadRun:
-    from ..workloads.rodinia import Backprop
-    return Backprop(session, input_size=4096).run()
-
-
-def _cfd(session: Session) -> WorkloadRun:
-    from ..workloads.rodinia import Cfd
-    return Cfd(session, cells=2048).run()
-
-
-def _gaussian(session: Session) -> WorkloadRun:
-    from ..workloads.rodinia import Gaussian
-    return Gaussian(session, size=64).run()
-
-
-def _lud(session: Session) -> WorkloadRun:
-    from ..workloads.rodinia import Lud
-    return Lud(session, size=64).run()
-
-
-def _nn(session: Session) -> WorkloadRun:
-    from ..workloads.rodinia import NearestNeighbor
-    return NearestNeighbor(session, records=4096).run()
-
-
-def _spatter_stride(session: Session) -> WorkloadRun:
-    from ..workloads.spatter import SpatterWorkload, uniform_stride
-    return SpatterWorkload(session, uniform_stride(8, count=64)).run()
-
-
-def _spatter_indirect(session: Session) -> WorkloadRun:
-    from ..workloads.spatter import SpatterWorkload, indirection
-    return SpatterWorkload(session, indirection(length=256,
-                                                spread=65536)).run()
-
-
-#: name -> runner(session) -> WorkloadRun, at diagnosis-friendly sizes.
-WORKLOADS: dict[str, Callable[[Session], WorkloadRun]] = {
-    "pathfinder": _pathfinder,
-    "pathfinder-opt": _pathfinder_opt,
-    "lulesh": _lulesh,
-    "sw": _sw,
-    "sw-rotated": _sw_rotated,
-    "sw-advised": _sw_advised,
-    "backprop": _backprop,
-    "cfd": _cfd,
-    "gaussian": _gaussian,
-    "lud": _lud,
-    "nn": _nn,
-    "spatter-stride": _spatter_stride,
-    "spatter-indirect": _spatter_indirect,
-}
+__all__ = ["main", "run_traced"]
 
 
 def mini_cuda_workloads() -> tuple[str, ...]:
@@ -170,10 +81,10 @@ def run_traced(workload: str, platform: str, out_dir: str | Path,
     native Python and ignore it.  Returns the artifact paths
     (``timeline``, ``metrics``, ``events``).
     """
-    preset = PLATFORM_ALIASES.get(platform, platform)
+    preset = resolve_platform(platform)
     mini = workload in mini_cuda_workloads()
     if not mini:
-        runner = WORKLOADS[workload]
+        runner = resolve_workload(workload)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -237,20 +148,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        print("workloads: " + ", ".join(sorted(WORKLOADS)))
-        print("mini-cuda: " + ", ".join(sorted(mini_cuda_workloads())))
-        print("platforms: " + ", ".join(
-            f"{alias}->{name}" for alias, name in sorted(PLATFORM_ALIASES.items())))
+        print(listing(("mini-cuda", sorted(mini_cuda_workloads()))), end="")
         return 0
     if args.out is None:
         parser.error("--out is required (unless --list)")
-    preset = PLATFORM_ALIASES.get(args.platform, args.platform)
-    if preset not in {"intel-pascal", "intel-volta", "power9-volta"}:
-        print(f"unknown platform {args.platform!r}; known: "
-              + ", ".join(sorted(PLATFORM_ALIASES)), file=sys.stderr)
+    try:
+        run_traced(args.workload, args.platform, args.out,
+                   materialize=not args.footprint, backend=args.backend)
+    except UnknownNameError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    run_traced(args.workload, preset, args.out,
-               materialize=not args.footprint, backend=args.backend)
     return 0
 
 

@@ -15,14 +15,16 @@ class TestRun:
         assert report["totals"]["events"] > 0
 
     def test_unknown_workload_exits_2(self, tmp_path, capsys):
-        rc = main(["run", "--workload", "nope", "--out", str(tmp_path)])
+        rc = main(["run", "--workload", "nope", "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "unknown workload" in capsys.readouterr().err
+        assert "unknown workload 'nope'; known: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_platform_exits_2(self, tmp_path, capsys):
-        rc = main(["run", "--platform", "abacus", "--out", str(tmp_path)])
+        rc = main(["run", "--platform", "abacus", "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "unknown platform" in capsys.readouterr().err
+        assert "unknown platform 'abacus'; known: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_out_is_required(self, capsys):
         assert main(["run"]) == 2

@@ -17,7 +17,6 @@ import pytest
 from repro.analysis import diagnose
 from repro.analysis.patterns import AntiPattern, Finding
 from repro.heatmap import html
-from repro.heatmap.cli import REPORT_RUNNERS
 from repro.heatmap.store import (
     CHANNELS,
     OTHER_SITE,
@@ -28,8 +27,8 @@ from repro.heatmap.store import (
 )
 from repro.stream.merge import merge_shards
 from repro.stream.shard import run_streaming, split_stream
-from repro.telemetry.cli import PLATFORM_ALIASES, WORKLOADS
 from repro.workloads.base import make_session
+from repro.workloads.registry import WORKLOADS, resolve_platform
 
 # ---------------------------------------------------------------------- #
 # oracle: the per-cell writers
@@ -136,10 +135,10 @@ def _assert_parity(store: HeatStore, diagnoses=()) -> None:
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_catalogue_workload_writers_match_oracle(workload):
-    session = make_session(PLATFORM_ALIASES["pcie"], trace=True,
+    session = make_session(resolve_platform("pcie"), trace=True,
                            materialize=False)
     store = session.tracer.heat = HeatStore()
-    run = REPORT_RUNNERS.get(workload, WORKLOADS[workload])(session)
+    run = WORKLOADS[workload](session, per_iteration=True)
     diagnoses = [*run.diagnoses,
                  diagnose(session.tracer, include_unnamed=True)]
     store.flush_current()

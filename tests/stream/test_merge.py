@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.heatmap.cli import REPORT_RUNNERS
 from repro.heatmap.store import HeatStore
 from repro.stream.merge import merge_shards
 from repro.stream.segments import (TruncatedSegmentError, load_manifest,
@@ -13,6 +12,7 @@ from repro.stream.segments import (TruncatedSegmentError, load_manifest,
 from repro.stream.shard import run_streaming, split_stream
 from repro.telemetry.events_jsonl import encode_driver_event
 from repro.workloads.base import make_session
+from repro.workloads.registry import WORKLOADS
 
 K = 4
 
@@ -130,7 +130,7 @@ class TestStreamingEqualsInMemory:
             log=session.platform.events,
             clock=lambda: session.platform.clock.now,
         ).attach(session.tracer, heat)
-        REPORT_RUNNERS["lulesh"](session)
+        WORKLOADS["lulesh"](session, per_iteration=True)
         tracker.finish()
         return session, heat
 

@@ -6,7 +6,8 @@ import pytest
 
 from repro.telemetry import context as telemetry_context
 from repro.telemetry import read_jsonl
-from repro.telemetry.cli import PLATFORM_ALIASES, WORKLOADS, main, run_traced
+from repro.telemetry.cli import main, run_traced
+from repro.workloads.registry import PLATFORM_ALIASES, WORKLOADS, UnknownNameError
 
 
 class TestRunTraced:
@@ -41,9 +42,10 @@ class TestRunTraced:
         assert float(line.rsplit(" ", 1)[1]) > 0
 
     def test_context_left_clean_even_on_failure(self, tmp_path):
-        with pytest.raises(KeyError):
-            run_traced("no-such-workload", "intel-pascal", tmp_path)
+        with pytest.raises(UnknownNameError):
+            run_traced("no-such-workload", "intel-pascal", tmp_path / "out")
         assert telemetry_context.current_recorder() is None
+        assert not (tmp_path / "out").exists()
 
 
 class TestMain:
@@ -59,8 +61,10 @@ class TestMain:
 
     def test_unknown_platform_rejected(self, tmp_path, capsys):
         rc = main(["--workload", "sw", "--platform", "vax",
-                   "--out", str(tmp_path)])
+                   "--out", str(tmp_path / "out")])
         assert rc == 2
+        assert "unknown platform 'vax'; known: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_list_flag(self, capsys):
         assert main(["--list"]) == 0
