@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,19 @@ class EpochHeat:
     def total(self) -> int:
         """Total word-accesses recorded this epoch."""
         return int(self.counts.sum())
+
+    @cached_property
+    def vector(self) -> np.ndarray:
+        """This epoch's access-pattern vector (read-only), computed once.
+
+        Live phase tracking and the end-of-run signature both read it, so
+        each closed epoch is reduced to its vector a single time.
+        """
+        # Lazy: the signature layer imports this module.
+        from ..signature import vector as signature_vector
+        vec = signature_vector.epoch_vector(self.counts)
+        vec.flags.writeable = False
+        return vec
 
     def channel(self, name: str) -> np.ndarray:
         """One channel's bucket vector by :data:`CHANNELS` name."""

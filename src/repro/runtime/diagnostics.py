@@ -6,6 +6,10 @@ table (live blocks plus the graveyard of allocations freed since the last
 diagnostic), extracts the Fig 4 counters for each named allocation, runs
 the anti-pattern analyses, optionally snapshots access maps for figures,
 then resets the epoch.
+
+Each block's counters -- the Fig 4 columns and the alternating-word
+count alike -- come from a single :meth:`ShadowBlock.counts` call, one
+histogram pass over the block's nonzero shadow bytes.
 """
 
 from __future__ import annotations
@@ -89,11 +93,12 @@ def _report_block(block: ShadowBlock, name: str, *, include_maps: bool,
         if alloc_heat is not None:
             hot_sites = tuple((site.label, n) for site, n
                               in alloc_heat.current_top_sites(3))
+    counts = block.counts()
     return AllocationReport(
         name=name,
         alloc=block.alloc,
-        counts=block.counts(),
-        alternating=block.alternating_words(),
+        counts=counts,
+        alternating=counts.alternating,
         freed=block.freed_epoch is not None,
         maps=maps,
         hot_sites=hot_sites,

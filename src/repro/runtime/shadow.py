@@ -6,6 +6,13 @@ and implements the vectorized update rules for reads, writes and
 read-modify-writes.  All updates are mask operations over word ranges or
 index arrays -- there is no per-element Python loop even when a kernel
 touches a megabyte.
+
+Counter extraction is one pass too: :meth:`ShadowBlock.counts` takes a
+histogram of the block's nonzero shadow bytes and maps it through a
+256-entry table (one row of 0/1 counter contributions per byte value), so
+every Fig 4 counter and the alternating-word count come from the same
+scan.  Untouched words are byte 0 and contribute to no counter, which is
+why only the (typically sparse) nonzero bytes are histogrammed.
 """
 
 from __future__ import annotations
@@ -30,9 +37,9 @@ class AccessCounts:
     """Aggregate counters extracted from one shadow block.
 
     Matches the columns of the paper's Fig 4 diagnostic table: write counts
-    per processor (each address counted once), and read counts per
+    per processor (each address counted once), read counts per
     ``origin > reader`` category (each address counted at most once per
-    category).
+    category), and the "elements with alternating accesses" line.
     """
 
     cpu_written: int
@@ -42,6 +49,8 @@ class AccessCounts:
     read_gc: int
     read_gg: int
     accessed_words: int
+    #: Words accessed by both processors with at least one write.
+    alternating: int
     total_words: int
 
     @property
@@ -49,11 +58,25 @@ class AccessCounts:
         """Fraction of words accessed at least once this epoch."""
         return self.accessed_words / self.total_words if self.total_words else 0.0
 
-    @property
-    def alternating(self) -> int:
-        """This is filled in by :meth:`ShadowBlock.counts` callers via
-        :meth:`ShadowBlock.alternating_words`; kept here for symmetry."""
-        raise AttributeError("use ShadowBlock.alternating_words()")
+
+def _counter_table() -> np.ndarray:
+    """``(256, 8)`` int64: each shadow byte value's contribution to the
+    counters, in :class:`AccessCounts` field order up to ``alternating``."""
+    b = np.arange(256, dtype=np.uint8)
+
+    def has(mask) -> np.ndarray:
+        return (b & mask) != 0
+
+    cpu = has(F.CPU_WROTE | F.READ_CC | F.READ_GC)
+    gpu = has(F.GPU_WROTE | F.READ_CG | F.READ_GG)
+    written = has(F.CPU_WROTE | F.GPU_WROTE)
+    cols = [has(F.CPU_WROTE), has(F.GPU_WROTE), has(F.READ_CC),
+            has(F.READ_CG), has(F.READ_GC), has(F.READ_GG),
+            has(F.EPOCH_MASK), cpu & gpu & written]
+    return np.stack(cols, axis=1).astype(np.int64)
+
+
+_COUNTER_TABLE = _counter_table()
 
 
 class ShadowBlock:
@@ -147,36 +170,18 @@ class ShadowBlock:
     # analysis extraction
 
     def counts(self) -> AccessCounts:
-        """Aggregate Fig 4-style counters for the current epoch."""
+        """Aggregate Fig 4-style counters for the current epoch, in one
+        pass: a histogram of the nonzero shadow bytes through the
+        byte-value table."""
         s = self.shadow
-        accessed = (s & F.EPOCH_MASK) != 0
-        return AccessCounts(
-            cpu_written=int(((s & F.CPU_WROTE) != 0).sum()),
-            gpu_written=int(((s & F.GPU_WROTE) != 0).sum()),
-            read_cc=int(((s & F.READ_CC) != 0).sum()),
-            read_cg=int(((s & F.READ_CG) != 0).sum()),
-            read_gc=int(((s & F.READ_GC) != 0).sum()),
-            read_gg=int(((s & F.READ_GG) != 0).sum()),
-            accessed_words=int(accessed.sum()),
-            total_words=self.nwords,
-        )
-
-    def cpu_accessed(self) -> np.ndarray:
-        """Mask of words the CPU touched this epoch."""
-        return (self.shadow & (F.CPU_WROTE | F.READ_CC | F.READ_GC)) != 0
-
-    def gpu_accessed(self) -> np.ndarray:
-        """Mask of words the GPU touched this epoch."""
-        return (self.shadow & (F.GPU_WROTE | F.READ_CG | F.READ_GG)) != 0
-
-    def written(self) -> np.ndarray:
-        """Mask of words written this epoch (by either processor)."""
-        return (self.shadow & (F.CPU_WROTE | F.GPU_WROTE)) != 0
+        hist = np.bincount(s[s != 0], minlength=256)
+        return AccessCounts(*(hist @ _COUNTER_TABLE).tolist(),
+                            total_words=self.nwords)
 
     def alternating_words(self) -> int:
         """Words accessed by *both* processors with at least one write --
         the paper's alternating-access criterion."""
-        return int((self.cpu_accessed() & self.gpu_accessed() & self.written()).sum())
+        return self.counts().alternating
 
     def category_masks(self) -> dict[str, np.ndarray]:
         """Per-word boolean masks for access-map figures (Fig 5/7/8/10)."""

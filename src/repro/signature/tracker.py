@@ -27,7 +27,7 @@ import numpy as np
 from ..memsim import Processor
 from ..memsim.events import CauseLink, Event, EventKind, EventLog
 from .phases import DEFAULT_THRESHOLD, Phase, PhaseDetector
-from .vector import combine_vectors, epoch_vector
+from .vector import combine_vectors
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..heatmap.store import AllocationHeat, EpochHeat, HeatStore
@@ -92,7 +92,7 @@ class PhaseTracker:
     # epoch stream
 
     def _on_freeze(self, heat: "AllocationHeat", snap: "EpochHeat") -> None:
-        self._pending.append((epoch_vector(snap.counts), snap.total))
+        self._pending.append((snap.vector, snap.total))
 
     def _on_epoch(self, closed: int) -> None:
         vec, weight = combine_vectors(self._pending)

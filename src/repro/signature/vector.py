@@ -158,8 +158,30 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _round_vec(vec: np.ndarray) -> list[float]:
-    return [round(v, _ROUND) for v in vec.tolist()]
+#: Distance from a half-integer, relative to the scaled value, within
+#: which :func:`_round_array` defers to :func:`round`: far above the
+#: rounding error of ``value * 10**_ROUND``, far below any real gap.
+_TIE_MARGIN = 1e-9
+
+
+def _round_array(values) -> np.ndarray:
+    """``round(v, _ROUND)`` of every element, as a float64 array.
+
+    Rounds the whole array at once.  Scaled values near a decimal tie,
+    or too large (or not finite) for the scaled form to be exact, go
+    through :func:`round` itself: its exact-binary rounding can differ
+    there from rounding the scaled product.
+    """
+    values = np.asarray(values, np.float64)
+    scaled = values * 10.0 ** _ROUND
+    out = np.rint(scaled) / 10.0 ** _ROUND
+    with np.errstate(invalid="ignore"):
+        near_tie = (np.abs(scaled - np.floor(scaled) - 0.5)
+                    <= _TIE_MARGIN * np.maximum(1.0, np.abs(scaled)))
+        slow = near_tie | ~(np.abs(scaled) < 2.0 ** 52)
+    if slow.any():
+        out[slow] = [round(v, _ROUND) for v in values[slow].tolist()]
+    return out
 
 
 @dataclass
@@ -192,10 +214,8 @@ class AllocationSignature:
         # The serialized mean is recomputed from the *rounded* vectors so
         # that save -> load -> save round-trips byte-identically (a load
         # only ever sees the rounded form).
-        vectors = [_round_vec(v) for v in self.vectors]
-        mean, _ = combine_vectors(
-            (np.asarray(v, np.float64), t)
-            for v, t in zip(vectors, self.totals))
+        vectors = _round_array(self.vectors)
+        mean, _ = combine_vectors(zip(vectors, self.totals))
         return {
             "label": self.label,
             "size": self.size,
@@ -203,8 +223,8 @@ class AllocationSignature:
             "nbuckets": self.nbuckets,
             "epochs": list(self.epochs),
             "totals": list(self.totals),
-            "mean": _round_vec(mean),
-            "vectors": vectors,
+            "mean": _round_array(mean).tolist(),
+            "vectors": vectors.tolist(),
             "top_sites": [[s, int(n)] for s, n in self.top_sites],
         }
 
@@ -250,8 +270,9 @@ class RunSignature:
             "total": self.total,
             "allocs": {k: a.to_dict() for k, a in sorted(self.allocs.items())},
             "epoch_vectors": [
-                {"epoch": int(e), "total": int(t), "vector": _round_vec(v)}
-                for e, v, t in self.epoch_vectors],
+                {"epoch": int(e), "total": int(t), "vector": v}
+                for (e, _, t), v in zip(self.epoch_vectors, _round_array(
+                    [v for _, v, _ in self.epoch_vectors]).tolist())],
             "phases": list(self.phases),
         }
 
@@ -322,7 +343,7 @@ def signature_from_store(store: HeatStore, *, workload: str = "",
         epochs, totals, vectors = [], [], []
         site_totals: dict[str, int] = {}
         for snap in heat.epochs:
-            vec = epoch_vector(snap.counts)
+            vec = snap.vector
             epochs.append(int(snap.epoch))
             totals.append(int(snap.total))
             vectors.append(vec)

@@ -125,17 +125,6 @@ RATIOS: dict[str, tuple[str, str]] = {
 }
 
 
-def _timed(run: Callable[[], None], repeats: int) -> float:
-    run()  # warm-up: imports, allocator pools, bytecode caches
-    best = float("inf")
-    for _ in range(repeats):
-        gc.collect()
-        t0 = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def measure_overhead(
     workloads: tuple[str, ...] = ("sw", "lulesh"),
     *,
@@ -144,16 +133,27 @@ def measure_overhead(
 ) -> list[dict]:
     """Time each workload under every configuration in :data:`CONFIGS`.
 
-    Returns one row per workload with each configuration's best time
-    (``<config>_s``) and every :data:`RATIOS` overhead factor.
+    The configurations are interleaved: after one warm-up round (imports,
+    allocator pools, bytecode caches), each of ``repeats`` rounds runs
+    every configuration once, so a burst of host load lands on all of
+    them alike rather than on whichever one was being timed.  Returns one
+    row per workload with each configuration's best time (``<config>_s``)
+    and every :data:`RATIOS` overhead factor.
     """
     rows: list[dict] = []
     for name in workloads:
         runner = resolve_workload(name)
+        best = dict.fromkeys(CONFIGS, float("inf"))
+        for timed in [False] + [True] * repeats:
+            for config, run in CONFIGS.items():
+                gc.collect()
+                t0 = time.perf_counter()
+                run(runner, platform, name)
+                if timed:
+                    best[config] = min(best[config],
+                                       time.perf_counter() - t0)
         row: dict = {"workload": name}
-        for config, run in CONFIGS.items():
-            row[f"{config}_s"] = _timed(
-                lambda: run(runner, platform, name), repeats)
+        row.update((f"{config}_s", s) for config, s in best.items())
         for key, (num, den) in RATIOS.items():
             den_s = row[f"{den}_s"]
             row[key] = row[f"{num}_s"] / den_s if den_s else float("inf")
@@ -217,7 +217,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--platform", default="intel-pascal",
                         help="platform preset (default: intel-pascal)")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="take the best of N runs per configuration")
+                        help="take the best of N interleaved rounds per "
+                             "configuration")
     args = parser.parse_args(argv)
     rows = measure_overhead(tuple(args.workloads), platform=args.platform,
                             repeats=args.repeats)

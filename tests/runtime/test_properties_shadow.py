@@ -1,6 +1,9 @@
 """Property-based tests (hypothesis) for shadow memory invariants."""
 
+from dataclasses import asdict
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,8 +61,11 @@ class TestShadowInvariants:
         block = make_block()
         apply_ops(block, sequence)
         alt = block.alternating_words()
-        both = (block.cpu_accessed() & block.gpu_accessed()).sum()
-        written = block.written().sum()
+        m = block.category_masks()
+        cpu = m["cpu_write"] | m["cpu_read"]
+        gpu = m["gpu_write"] | m["gpu_read"]
+        both = (cpu & gpu).sum()
+        written = (m["cpu_write"] | m["gpu_write"]).sum()
         assert alt <= both
         assert alt <= written
 
@@ -123,3 +129,60 @@ class TestShadowInvariants:
         assert c.read_cg == len(reads[("C", "G")])
         assert c.read_gc == len(reads[("G", "C")])
         assert c.read_gg == len(reads[("G", "G")])
+
+
+def _mask_oracle(shadow: np.ndarray) -> dict[str, int]:
+    """The per-bit mask formulas the one-pass counters must reproduce."""
+    def n(mask) -> int:
+        return int(((shadow & mask) != 0).sum())
+
+    cpu = (shadow & (F.CPU_WROTE | F.READ_CC | F.READ_GC)) != 0
+    gpu = (shadow & (F.GPU_WROTE | F.READ_CG | F.READ_GG)) != 0
+    written = (shadow & (F.CPU_WROTE | F.GPU_WROTE)) != 0
+    return {
+        "cpu_written": n(F.CPU_WROTE), "gpu_written": n(F.GPU_WROTE),
+        "read_cc": n(F.READ_CC), "read_cg": n(F.READ_CG),
+        "read_gc": n(F.READ_GC), "read_gg": n(F.READ_GG),
+        "accessed_words": n(F.EPOCH_MASK),
+        "alternating": int((cpu & gpu & written).sum()),
+        "total_words": len(shadow),
+    }
+
+
+def block_with_shadow(shadow: np.ndarray) -> ShadowBlock:
+    space = AddressSpace()
+    block = ShadowBlock(space.allocate(len(shadow) * 4, MemoryKind.MANAGED))
+    block.shadow[:] = shadow
+    return block
+
+
+#: Arbitrary shadow arrays: dense random bytes, sparse ones (mostly the
+#: untouched byte 0, as in a real epoch), all-zero and all-nonzero.
+shadow_arrays = st.one_of(
+    st.binary(min_size=1, max_size=4096),
+    st.lists(st.one_of(st.just(0), st.integers(0, 255)),
+             min_size=1, max_size=4096).map(bytes),
+    st.integers(1, 4096).map(lambda n: bytes(n)),
+    st.lists(st.integers(1, 255), min_size=1, max_size=4096).map(bytes),
+).map(lambda b: np.frombuffer(b, dtype=np.uint8).copy())
+
+
+class TestOnePassCounters:
+    @given(shadow_arrays)
+    @settings(max_examples=150, deadline=None)
+    def test_counts_match_mask_formulas(self, shadow):
+        block = block_with_shadow(shadow)
+        c = block.counts()
+        assert asdict(c) == _mask_oracle(shadow)
+        assert block.alternating_words() == c.alternating
+
+    @pytest.mark.parametrize("length", [1, 256, 4099])
+    def test_every_byte_value(self, length):
+        shadow = (np.arange(length) % 256).astype(np.uint8)
+        c = block_with_shadow(shadow).counts()
+        assert asdict(c) == _mask_oracle(shadow)
+
+    def test_all_zero_block_counts_nothing(self):
+        c = block_with_shadow(np.zeros(4096, np.uint8)).counts()
+        assert c.accessed_words == c.alternating == c.cpu_written == 0
+        assert c.total_words == 4096

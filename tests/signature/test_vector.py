@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.heatmap.cli import run_report
 from repro.heatmap.store import CHANNELS, HeatStore
 from repro.memsim import AddressSpace, MemoryKind, Processor
+from repro.signature import vector as vector_module
 from repro.signature.vector import (
     FEATURE_NAMES,
     N_FEATURES,
     RunSignature,
+    _round_array,
     combine_vectors,
     cosine_similarity,
     epoch_vector,
@@ -184,3 +187,48 @@ class TestNpzRebuild:
         legacy = signature_from_npz(tmp_path / "legacy.npz")
         live = signature_from_store(store)
         assert run_similarity(legacy, live)["similarity"] == 1.0
+
+
+class TestBulkRounding:
+    def test_matches_builtin_round(self):
+        ties = (np.arange(0, 1_000_000, 997) + 0.5) / 1e6
+        values = np.concatenate([
+            ties, np.nextafter(ties, 0.0), np.nextafter(ties, 1.0),
+            np.random.default_rng(5).random(20_000),
+            [0.0, 1.0, 5e-324, 1e-300, 1e-12, 5e-7, 1.5e-6, 0.9999995]])
+        expected = [repr(round(v, 6)) for v in values.tolist()]
+        assert [repr(v) for v in _round_array(values).tolist()] == expected
+
+    def test_keeps_the_array_shape(self):
+        rows = np.random.default_rng(6).random((3, N_FEATURES))
+        assert _round_array(rows).tolist() == [
+            [round(v, 6) for v in row] for row in rows.tolist()]
+        assert _round_array(np.zeros((0, N_FEATURES))).tolist() == []
+
+
+class TestCachedEpochVectors:
+    def test_cached_vector_is_epoch_vector(self):
+        for heat in _store_with_pattern().allocations():
+            for snap in heat.epochs:
+                assert snap.vector is snap.vector
+                assert not snap.vector.flags.writeable
+                assert (snap.vector.tobytes()
+                        == epoch_vector(snap.counts).tobytes())
+
+    def test_per_iteration_report_reduces_each_epoch_once(
+            self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(counts):
+            calls.append(1)
+            return epoch_vector(counts)
+
+        monkeypatch.setattr(vector_module, "epoch_vector", counting)
+        store = run_report("sw", "pcie", tmp_path, materialize=False)["store"]
+        snaps = [s for h in store.allocations() for s in h.epochs]
+        # Live phase tracking computes each allocation-epoch's vector;
+        # the end-of-run signature reuses it rather than recomputing.
+        assert len(calls) == len(snaps) == 1533
+        for snap in snaps:
+            assert (snap.vector.tobytes()
+                    == epoch_vector(snap.counts).tobytes())

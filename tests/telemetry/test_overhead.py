@@ -1,11 +1,19 @@
 """Tests for the instrumentation-overhead harness (paper Table III shape)."""
 
+import pytest
+
 from repro.telemetry.overhead import CONFIGS, format_rows, measure_overhead
 
 
+@pytest.fixture(scope="module")
+def rows():
+    """One interleaved best-of-3 measurement, shared by the bar checks:
+    a burst of host load hits every configuration of a round alike."""
+    return measure_overhead(("sw", "lulesh"), repeats=3)
+
+
 class TestMeasureOverhead:
-    def test_reports_at_least_two_workloads(self):
-        rows = measure_overhead(("sw", "lulesh"), repeats=1)
+    def test_reports_at_least_two_workloads(self, rows):
         assert len(rows) == 2
         assert [row["workload"] for row in rows] == ["sw", "lulesh"]
         for row in rows:
@@ -22,11 +30,11 @@ class TestMeasureOverhead:
             for key in ("causes_x", "causes_no_sites_x", "signature_x"):
                 assert row[key] > 0.5
 
-    def test_disabled_telemetry_is_cheap(self):
+    def test_disabled_telemetry_is_cheap(self, rows):
         # Acceptance bound: attach+detach must leave the hot path alone
         # (<2x of a never-attached run, and that's already generous).
-        (row,) = measure_overhead(("sw",), repeats=3)
-        assert row["detached_x"] < 2.0
+        sw = next(row for row in rows if row["workload"] == "sw")
+        assert sw["detached_x"] < 2.0
 
     def test_format_rows_renders_table(self):
         rows = [{
