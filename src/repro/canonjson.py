@@ -12,34 +12,17 @@ from __future__ import annotations
 import json
 from typing import Any
 
-__all__ = ["Encoded", "dumps"]
+__all__ = ["dumps"]
+
+_NESTED = (dict, list, tuple)
 
 
-class Encoded(str):
-    """JSON text already encoded at its nesting level, spliced verbatim.
-
-    Lets a writer that re-emits a growing document encode each unchanged
-    part once (see :func:`dumps`' ``level``).
-    """
-
-
-_NESTED = (dict, list, tuple, Encoded)
-
-
-def dumps(obj: Any, *, indent: int, sort_keys: bool = False,
-          level: int = 0) -> str:
-    """``json.dumps(obj, indent=indent, sort_keys=sort_keys)``, byte for byte.
-
-    ``level`` is the nesting depth ``obj`` will sit at when the result is
-    wrapped in :class:`Encoded` and spliced into an enclosing document.
-    """
-    return _encode(obj, " " * indent, "\n" + " " * (indent * level),
-                   sort_keys)
+def dumps(obj: Any, *, indent: int, sort_keys: bool = False) -> str:
+    """``json.dumps(obj, indent=indent, sort_keys=sort_keys)``, byte for byte."""
+    return _encode(obj, " " * indent, "\n", sort_keys)
 
 
 def _encode(obj: Any, pad: str, nl: str, sort_keys: bool) -> str:
-    if isinstance(obj, Encoded):
-        return obj
     if isinstance(obj, dict):
         values = obj.values()
     elif isinstance(obj, (list, tuple)):

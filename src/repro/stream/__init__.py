@@ -2,8 +2,8 @@
 
 The in-memory observability stores (:class:`~repro.heatmap.store.HeatStore`,
 :class:`~repro.memsim.EventLog`) bound a run's footprint by *forgetting*;
-this package bounds it by *spilling*: epoch-framed on-disk segments with
-a versioned, atomically updated manifest per shard
+this package bounds it by *spilling*: epoch-framed segments appended to
+one log per shard, with a versioned manifest
 (:mod:`~repro.stream.segments`), producers that turn ring eviction into
 evict-to-disk (:mod:`~repro.stream.spill`), a deterministic merge algebra
 recombining N shard directories into one run (:mod:`~repro.stream.merge`,
@@ -21,6 +21,7 @@ from .segments import (
     load_manifest,
     read_segment,
     segment_files,
+    shard_frames,
     write_manifest,
 )
 from .shard import run_streaming, split_stream
@@ -40,6 +41,7 @@ __all__ = [
     "read_segment",
     "run_streaming",
     "segment_files",
+    "shard_frames",
     "split_stream",
     "write_manifest",
 ]

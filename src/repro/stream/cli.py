@@ -14,8 +14,11 @@ Three subcommands cover the spill-and-merge lifecycle::
 ``merge`` writes the same artifact set as ``repro-report --why``
 (``report.html``, ``events.jsonl``, ``heat.csv``, ``heat.npz``,
 ``metrics.prom``, ``causes.json``) -- the merged ``events.jsonl`` feeds
-``repro-why`` unchanged.  Truncated final segments (a shard that crashed
-mid-write) are skipped with a warning; ``--strict`` makes them fatal.
+``repro-why`` unchanged.  Corrupt segments and a truncated log tail (a
+shard that crashed mid-write) are skipped with a warning; ``--strict``
+makes them fatal.  Bad input to ``split`` or ``merge`` -- a damaged
+source, a directory with no manifest, ``-k 0`` -- ends in one ``error:``
+line and exit status 1.
 """
 
 from __future__ import annotations
@@ -54,8 +57,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Bad-input errors ``split`` and ``merge`` report as one ``error:`` line;
+#: each message names the offending path.
+_INPUT_ERRORS = (TruncatedSegmentError, IncompatibleStreamError,
+                 FileNotFoundError)
+
+
 def _cmd_split(args: argparse.Namespace) -> int:
-    shard_dirs = split_stream(args.src, args.out, args.k)
+    try:
+        shard_dirs = split_stream(args.src, args.out, args.k)
+    except (*_INPUT_ERRORS, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for path in shard_dirs:
         print(f"  {path}")
     return 0
@@ -67,7 +80,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
     try:
         merged = merge_shards(args.dirs, strict=args.strict, on_warning=warn)
-    except (TruncatedSegmentError, IncompatibleStreamError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     paths = merged.write(args.out, report=not args.no_report,

@@ -1,20 +1,30 @@
-"""On-disk epoch segments with a versioned, atomically updated manifest.
+"""On-disk epoch segments: one append-only log per shard, plus a manifest.
 
 A **stream directory** is the durable form of one shard of a running
 simulation::
 
     <dir>/
-      manifest.json           # rewritten atomically after every segment
-      segments/seg-00000.jsonl
-      segments/seg-00001.jsonl
-      ...
+      manifest.json     # written at open, every MANIFEST_EVERY segments
+                        # and at finalize, always by temp + rename
+      segments.log      # every segment, one framed JSONL block after another
 
-Each segment is a JSONL file framed for crash detection: the first line
-is a ``segment_header`` record, the last a ``segment_trailer`` carrying
-the payload record count and a CRC-32 over every preceding byte.  A file
-whose trailer is missing or does not verify is *truncated* -- the writer
-died mid-segment -- and readers skip it with a warning instead of
-corrupting a merge.
+Each segment is a *frame* of JSONL lines appended to ``segments.log``
+and flushed as one write, so a tailing reader sees whole frames or a
+torn tail:
+
+* a ``segment_header`` record: segment index, shard, stream version and
+  ``bytes``, the byte length of the payload lines that follow;
+* the payload records, one per line;
+* a ``segment_trailer`` record carrying the payload record count and a
+  CRC-32 over every preceding byte of the frame.
+
+Readers cut the log at the header lengths and verify each frame
+(:func:`read_segment`).  A complete frame whose header, CRC or record
+count fails is skipped with a warning naming the log, the frame index
+and its byte offset; the scan resumes at the next frame.  When a header
+is unreadable, or the log ends inside a frame -- the writer died
+mid-segment -- the rest of the log is a *truncated tail*: a warning, or
+:class:`TruncatedSegmentError` under ``strict``.
 
 Payload record types (all also JSON, one per line):
 
@@ -29,10 +39,12 @@ Payload record types (all also JSON, one per line):
 * ``alloc`` -- allocation-site provenance passthrough (feeds the causal
   blame tables).
 
-The manifest is the tail-able summary: ``repro-top`` watches it for new
-segments and rollup counters; ``repro-agg`` uses it for identity and
-completeness.  It is always written to a temp file and renamed into
-place, so a reader never observes a half-written manifest.
+The manifest is the summary: identity, completeness, one ``{offset,
+bytes, records, ...}`` entry per frame and the live rollup counters
+``repro-top`` shows.  It is rewritten only every :data:`MANIFEST_EVERY`
+segments, so its segment list may lag the log; readers always scan the
+log itself.  Version 1 directories (one ``segments/seg-NNNNN.jsonl``
+file per frame, no ``bytes`` in the header) are still read.
 """
 
 from __future__ import annotations
@@ -43,16 +55,18 @@ import zlib
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
-from ..canonjson import Encoded, dumps
+from ..canonjson import dumps
 
 __all__ = [
     "STREAM_VERSION",
-    "SEGMENT_DIR",
+    "LOG_NAME",
     "MANIFEST_NAME",
+    "MANIFEST_EVERY",
     "TruncatedSegmentError",
     "IncompatibleStreamError",
     "SegmentWriter",
     "read_segment",
+    "shard_frames",
     "iter_shard_records",
     "load_manifest",
     "write_manifest",
@@ -60,14 +74,21 @@ __all__ = [
 ]
 
 #: Bumped whenever the segment/manifest shapes change incompatibly.
-STREAM_VERSION = 1
+#: Version 2 replaced per-segment files with ``segments.log``.
+STREAM_VERSION = 2
 
-SEGMENT_DIR = "segments"
+LOG_NAME = "segments.log"
 MANIFEST_NAME = "manifest.json"
+
+#: Segments between manifest rewrites (besides open and finalize).
+MANIFEST_EVERY = 64
+
+#: Version 1 layout: one file per segment under this directory.
+_V1_SEGMENT_DIR = "segments"
 
 
 class TruncatedSegmentError(RuntimeError):
-    """A segment file is incomplete (missing/failed trailer): crashed write."""
+    """A segment frame is incomplete or fails its checks."""
 
 
 class IncompatibleStreamError(RuntimeError):
@@ -98,8 +119,12 @@ def load_manifest(dir_path: str | Path) -> dict[str, Any]:
     if not path.exists():
         raise FileNotFoundError(f"{dir_path} has no {MANIFEST_NAME} "
                                 "(not a stream directory?)")
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    version = manifest.get("stream_version")
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise IncompatibleStreamError(f"{path}: unreadable manifest: {exc}")
+    version = manifest.get("stream_version") \
+        if isinstance(manifest, dict) else None
     if not isinstance(version, int) or version < 1 or version > STREAM_VERSION:
         raise IncompatibleStreamError(
             f"{path}: stream_version {version!r} is outside the supported "
@@ -108,13 +133,8 @@ def load_manifest(dir_path: str | Path) -> dict[str, Any]:
 
 
 def segment_files(dir_path: str | Path) -> list[Path]:
-    """Segment files actually on disk, in write order.
-
-    Globbed rather than read from the manifest: a crash can leave a
-    final, truncated segment that never made it into the manifest, and
-    readers must still *detect* it (and warn) rather than silently skip.
-    """
-    seg_dir = Path(dir_path) / SEGMENT_DIR
+    """A version 1 directory's segment files, in write order."""
+    seg_dir = Path(dir_path) / _V1_SEGMENT_DIR
     if not seg_dir.is_dir():
         return []
     return sorted(p for p in seg_dir.iterdir()
@@ -122,7 +142,7 @@ def segment_files(dir_path: str | Path) -> list[Path]:
 
 
 class SegmentWriter:
-    """Appends framed segments to a stream directory, manifest in step.
+    """Appends framed segments to a shard's log, manifest on a cadence.
 
     :param out_dir: stream directory (created if missing).
     :param shard: shard identity recorded in headers and the manifest.
@@ -140,32 +160,30 @@ class SegmentWriter:
         self.platform = platform
         self.config = dict(config or {})
         self.segments: list[dict[str, Any]] = []
-        # Entry texts encoded once at their manifest depth, spliced on sync.
-        self._segment_texts: list[Encoded] = []
         self.rollup: dict[str, Any] = {}
         self.complete = False
-        (self.dir / SEGMENT_DIR).mkdir(parents=True, exist_ok=True)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        # The log exists before the manifest does, so a reader that finds
+        # a manifest never falls back to the version 1 layout.
+        self._log = (self.dir / LOG_NAME).open("wb")
+        self._offset = 0
         self._sync_manifest()
 
     # ------------------------------------------------------------------ #
     # writing
 
     def write_segment(self, records: list[Mapping[str, Any]], *,
-                      rollup: Mapping[str, Any] | None = None) -> Path:
-        """Write one framed segment and fold it into the manifest.
+                      rollup: Mapping[str, Any] | None = None
+                      ) -> dict[str, Any]:
+        """Append one framed segment to the log; returns its manifest entry.
 
         :param records: payload records (each needs a ``type`` field).
-        :param rollup: live run summary to publish in the manifest
+        :param rollup: live run summary to publish with the next manifest
             (counters, residency, epoch cursor) for tailing monitors.
         """
-        index = len(self.segments)
-        name = f"seg-{index:05d}.jsonl"
-        path = self.dir / SEGMENT_DIR / name
-        header = {"type": "segment_header", "segment": index,
-                  "shard": self.shard, "stream_version": STREAM_VERSION}
-        lines = [_dumps(header)]
         epochs: list[int] = []
         n_events = n_heat = 0
+        lines = []
         for rec in records:
             rtype = rec.get("type")
             if rtype is None:
@@ -175,39 +193,41 @@ class SegmentWriter:
                 epochs.append(int(rec["epoch"]))
             elif rtype == "driver_event":
                 n_events += 1
-            lines.append(_dumps(rec))
-        payload = "".join(line + "\n" for line in lines)
+            lines.append(_dumps(rec) + "\n")
+        payload = "".join(lines).encode("utf-8")
+        header = {"type": "segment_header", "segment": len(self.segments),
+                  "bytes": len(payload), "shard": self.shard,
+                  "stream_version": STREAM_VERSION}
+        body = (_dumps(header) + "\n").encode("utf-8") + payload
         trailer = {"type": "segment_trailer", "records": len(records),
-                   "crc32": zlib.crc32(payload.encode("utf-8"))}
-        path.write_text(payload + _dumps(trailer) + "\n", encoding="utf-8")
-        entry = {"file": f"{SEGMENT_DIR}/{name}", "records": len(records),
-                 "events": n_events, "heat_epochs": n_heat}
+                   "crc32": zlib.crc32(body)}
+        frame = body + (_dumps(trailer) + "\n").encode("utf-8")
+        self._log.write(frame)
+        self._log.flush()
+        entry = {"offset": self._offset, "bytes": len(frame),
+                 "records": len(records), "events": n_events,
+                 "heat_epochs": n_heat}
         if epochs:
             entry["epoch_lo"] = min(epochs)
             entry["epoch_hi"] = max(epochs)
+        self._offset += len(frame)
         self.segments.append(entry)
-        self._segment_texts.append(Encoded(
-            dumps(entry, indent=1, sort_keys=True, level=2)))
         if rollup is not None:
             self.rollup = dict(rollup)
-        self._sync_manifest()
-        return path
-
-    def publish_rollup(self, rollup: Mapping[str, Any]) -> Path:
-        """Update the manifest rollup without writing a segment."""
-        self.rollup = dict(rollup)
-        return self._sync_manifest()
+        if len(self.segments) % MANIFEST_EVERY == 0:
+            self._sync_manifest()
+        return entry
 
     def finalize(self, rollup: Mapping[str, Any] | None = None) -> Path:
         """Mark the stream complete (no more segments will follow)."""
         if rollup is not None:
             self.rollup = dict(rollup)
         self.complete = True
+        self._log.close()
         return self._sync_manifest()
 
     def _sync_manifest(self) -> Path:
-        return write_manifest(self.dir, dict(self.manifest(),
-                                             segments=self._segment_texts))
+        return write_manifest(self.dir, self.manifest())
 
     def manifest(self) -> dict[str, Any]:
         """The manifest dict as it would be written right now."""
@@ -228,44 +248,104 @@ class SegmentWriter:
 # ---------------------------------------------------------------------- #
 # reading
 
-def read_segment(path: str | Path) -> list[dict[str, Any]]:
-    """Parse one segment's payload records, verifying the frame.
+def read_segment(frame: bytes, where: str = "segment") -> list[dict[str, Any]]:
+    """Parse one frame's payload records, verifying the frame.
 
-    Raises :class:`TruncatedSegmentError` when the trailer is missing,
-    the CRC does not match, or the record count disagrees -- the three
-    signatures of a writer that died mid-segment.
+    ``where`` names the frame in error messages.  Raises
+    :class:`TruncatedSegmentError` when the trailer is missing, the CRC
+    does not match, the header is not a header, or the record count
+    disagrees.
     """
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if not text.endswith("\n"):
-        raise TruncatedSegmentError(f"{path}: unterminated final line")
-    lines = text.splitlines()
-    if len(lines) < 2:
-        raise TruncatedSegmentError(f"{path}: no trailer record")
+    if not frame.endswith(b"\n"):
+        raise TruncatedSegmentError(f"{where}: unterminated final line")
+    cut = frame.rfind(b"\n", 0, len(frame) - 1) + 1
+    if cut == 0:
+        raise TruncatedSegmentError(f"{where}: no trailer record")
     try:
-        trailer = json.loads(lines[-1])
+        trailer = json.loads(frame[cut:])
     except ValueError as exc:
-        raise TruncatedSegmentError(f"{path}: unparseable trailer: {exc}")
-    if trailer.get("type") != "segment_trailer":
-        raise TruncatedSegmentError(f"{path}: last record is not a trailer")
-    payload = "".join(line + "\n" for line in lines[:-1])
-    crc = zlib.crc32(payload.encode("utf-8"))
+        raise TruncatedSegmentError(f"{where}: unparseable trailer: {exc}")
+    if not isinstance(trailer, dict) \
+            or trailer.get("type") != "segment_trailer":
+        raise TruncatedSegmentError(f"{where}: last record is not a trailer")
+    body = memoryview(frame)[:cut]
+    crc = zlib.crc32(body)
     if crc != trailer.get("crc32"):
         raise TruncatedSegmentError(
-            f"{path}: checksum mismatch (crc32 {crc} != recorded "
+            f"{where}: checksum mismatch (crc32 {crc} != recorded "
             f"{trailer.get('crc32')})")
+    head = frame.index(b"\n") + 1
     try:
-        records = [json.loads(line) for line in lines[1:-1]]
+        header = json.loads(frame[:head])
+        # Payload lines are compact JSON (no raw newlines), so they parse
+        # as one array in a single decoder call.
+        records = json.loads(b"[" + frame[head:cut - 1].replace(b"\n", b",")
+                             + b"]") if cut > head else []
     except ValueError as exc:
-        raise TruncatedSegmentError(f"{path}: corrupt payload record: {exc}")
-    header = json.loads(lines[0]) if lines else {}
-    if header.get("type") != "segment_header":
-        raise TruncatedSegmentError(f"{path}: missing segment header")
+        raise TruncatedSegmentError(f"{where}: corrupt record: {exc}")
+    if not isinstance(header, dict) \
+            or header.get("type") != "segment_header":
+        raise TruncatedSegmentError(f"{where}: missing segment header")
     if len(records) != trailer.get("records"):
         raise TruncatedSegmentError(
-            f"{path}: {len(records)} payload records != trailer count "
+            f"{where}: {len(records)} payload records != trailer count "
             f"{trailer.get('records')}")
     return records
+
+
+def _payload_length(line: bytes) -> int | None:
+    try:
+        header = json.loads(line)
+    except ValueError:
+        return None
+    n = header.get("bytes") if isinstance(header, dict) else None
+    return n if isinstance(n, int) and n >= 0 else None
+
+
+def shard_frames(dir_path: str | Path, start: int = 0
+                 ) -> tuple[list[tuple[str, bytes]], int, str]:
+    """Cut a shard's complete frames from cursor ``start`` on, unverified.
+
+    Returns ``(frames, cursor, tail)``: ``(where, frame bytes)`` for each
+    complete frame, where ``where`` names the log, the frame index
+    (counted from ``start``) and its byte offset; the cursor to resume
+    from; and a description of the truncated tail after that cursor
+    (``""`` when the log ends on a frame boundary).  Pass the returned
+    cursor back in to tail a live log.
+
+    A directory without ``segments.log`` is read in the version 1
+    layout: one frame per ``segments/seg-*.jsonl`` file, the cursor
+    counting files, and never a tail.
+    """
+    log = Path(dir_path) / LOG_NAME
+    if not log.exists():
+        files = segment_files(dir_path)[start:]
+        return ([(str(p), p.read_bytes()) for p in files],
+                start + len(files), "")
+    with log.open("rb") as fh:
+        fh.seek(start)
+        data = fh.read()
+    frames: list[tuple[str, bytes]] = []
+    pos, end, reason = 0, len(data), ""
+    while pos < end:
+        head = data.find(b"\n", pos) + 1
+        n = _payload_length(data[pos:head]) if head else None
+        if n is None:
+            reason = "unreadable frame header" if head \
+                else "unterminated frame header"
+            break
+        stop = data.find(b"\n", head + n) + 1 if head + n < end else 0
+        if not stop:
+            reason = "no trailer record" if head + n <= end \
+                else "payload cut off"
+            break
+        frames.append((f"{log} frame {len(frames)} at byte {start + pos}",
+                       data[pos:stop]))
+        pos = stop
+    tail = "" if pos == end else (
+        f"truncated tail of {log} from frame {len(frames)} at "
+        f"byte {start + pos}: {reason} ({end - pos} byte(s) unread)")
+    return frames, start + pos, tail
 
 
 def iter_shard_records(
@@ -275,18 +355,24 @@ def iter_shard_records(
 ) -> Iterator[dict[str, Any]]:
     """Yield every payload record of a shard directory, in segment order.
 
-    Truncated segments (crashed writes) raise in ``strict`` mode;
-    otherwise they are skipped after calling ``warn`` with a message, so
-    a merge survives a shard that died mid-run with only the final
-    partial segment lost.
+    Corrupt frames and a truncated tail (crashed writes) raise
+    :class:`TruncatedSegmentError` in ``strict`` mode; otherwise they are
+    skipped after calling ``warn`` with a message, so a merge survives a
+    shard that died mid-run with only the damaged frames lost.
     """
-    for path in segment_files(dir_path):
+    frames, _, tail = shard_frames(dir_path)
+    for where, frame in frames:
         try:
-            records = read_segment(path)
+            records = read_segment(frame, where)
         except TruncatedSegmentError as exc:
             if strict:
                 raise
             if warn is not None:
-                warn(f"skipping truncated segment: {exc}")
+                warn(f"skipping corrupt segment: {exc}")
             continue
         yield from records
+    if tail:
+        if strict:
+            raise TruncatedSegmentError(tail)
+        if warn is not None:
+            warn(f"skipping {tail}")

@@ -20,7 +20,8 @@ import json
 from pathlib import Path
 from typing import Any, Mapping
 
-from .segments import SegmentWriter, load_manifest, read_segment, segment_files
+from .segments import (SegmentWriter, TruncatedSegmentError, load_manifest,
+                       read_segment, shard_frames)
 from .spill import SpillingHeatStore, StreamSpiller
 
 __all__ = ["run_streaming", "split_stream"]
@@ -112,18 +113,20 @@ def split_stream(src_dir: str | Path, out_base: str | Path,
 
     Returns the shard directory paths, in shard order.
     """
-    if k < 1:
-        raise ValueError(f"cannot split into {k} shards")
     src = Path(src_dir)
+    if k < 1:
+        raise ValueError(f"cannot split {src} into {k} shards")
     manifest = load_manifest(src)
     rollup: Mapping[str, Any] = manifest.get("rollup", {})
-    paths = segment_files(src)
+    frames, _, tail = shard_frames(src)
+    if tail:  # strict: the source must be complete
+        raise TruncatedSegmentError(tail)
 
     headers: list[dict[str, Any]] = []
     seen: set[str] = set()
     per_segment: list[list[dict[str, Any]]] = []
-    for path in paths:
-        records = read_segment(path)  # strict: the source must be complete
+    for where, frame in frames:
+        records = read_segment(frame, where)
         per_segment.append(records)
         for rec in records:
             if rec.get("type") in _HEADER_TYPES:

@@ -10,8 +10,9 @@ Two pieces turn the in-memory observability stores into streaming ones:
   :class:`~repro.stream.segments.SegmentWriter`: the event log's ring
   retention becomes *evict-to-disk* (the :attr:`EventLog.spill` sink),
   frozen heat epochs buffer up, and every closed tracing epoch -- or an
-  event-buffer watermark, whichever comes first -- flushes one framed
-  segment and republishes the manifest rollup that ``repro-top`` tails.
+  event-buffer watermark, whichever comes first -- appends one framed
+  segment to the shard log, with the rollup the manifest publishes for
+  ``repro-top``.
 
 Because ring eviction is FIFO and the final flush drains the still-
 retained tail in order, the concatenated segments contain *every* driver
@@ -254,9 +255,6 @@ class StreamSpiller(ObserverBase):
 
     def _flush_segment(self) -> None:
         if not self._pending:
-            # No new records, but republish the rollup so tailing
-            # monitors still see counter movement through quiet epochs.
-            self.writer.publish_rollup(self._rollup())
             return
         self.writer.write_segment(self._pending, rollup=self._rollup())
         self.segments_written += 1

@@ -1,6 +1,6 @@
 """``repro-top``: live terminal monitor over stream directories.
 
-Tails the manifests (and latest segments) of one or more shard stream
+Tails the manifests and segment logs of one or more shard stream
 directories and redraws a compact dashboard every interval::
 
     repro-top /tmp/run/shard-* --interval 1
@@ -16,11 +16,13 @@ Panels:
   intensity strip (same ramps as the ``--ansi`` report renderer);
 * **drill-down** (``--alloc LABEL``) -- that allocation's recent epochs.
 
-Everything is read-side only and crash-tolerant: a truncated final
-segment (the producer died or is mid-write) is simply skipped, and a
-directory with no manifest yet renders as "waiting".  Scripted mode
-(``--frames N --interval 0``) renders N frames and exits -- that is what
-the tests and CI drive.
+Everything is read-side only and crash-tolerant: each refresh reads
+only the log bytes appended since the last complete frame, a torn tail
+frame (the producer died or is mid-write) is retried on the next
+refresh, and a directory with no manifest yet renders as "waiting".
+Version 1 directories (one file per segment) are tailed too.  Scripted
+mode (``--frames N --interval 0``) renders N frames and exits -- that is
+what the tests and CI drive.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .segments import (
     TruncatedSegmentError,
     load_manifest,
     read_segment,
-    segment_files,
+    shard_frames,
 )
 
 __all__ = ["Monitor", "main"]
@@ -99,10 +101,12 @@ class _ShardView:
         self.heat: dict[str, tuple[int, np.ndarray]] = {}
         #: label -> [(epoch, vector), ...] recent history (drill-down).
         self.history: dict[str, list[tuple[int, np.ndarray]]] = {}
-        self._read_segments = 0
+        #: Frames consumed so far, and where the next one starts.
+        self.frames_read = 0
+        self._cursor = 0
 
     def refresh(self, *, history_depth: int = 8) -> None:
-        """Re-read the manifest and any segments written since last time."""
+        """Re-read the manifest and any frames appended since last time."""
         try:
             self.manifest = load_manifest(self.path)
             self.error = ""
@@ -113,14 +117,15 @@ class _ShardView:
         except Exception as exc:  # unreadable manifest mid-replace etc.
             self.error = str(exc)
             return
-        files = segment_files(self.path)
-        for seg in files[self._read_segments:]:
+        # Only bytes past the last complete frame are read; a torn tail
+        # frame (mid-write) is not returned, so the next refresh retries it.
+        frames, self._cursor, _ = shard_frames(self.path, self._cursor)
+        for where, frame in frames:
+            self.frames_read += 1
             try:
-                records = read_segment(seg)
+                records = read_segment(frame, where)
             except TruncatedSegmentError:
-                # Mid-write or crashed tail: retry it next frame.
-                break
-            self._read_segments += 1
+                continue  # complete but corrupt: it will not heal
             for rec in records:
                 if rec.get("type") != "heat_epoch":
                     continue
@@ -213,7 +218,7 @@ class Monitor:
                 state = "done" if m.get("complete") else "live"
                 lines.append(
                     f"  {m.get('shard', view.path.name):12s} {state:4s}  "
-                    f"{len(m.get('segments', []))} segment(s)")
+                    f"{view.frames_read} segment(s)")
         return lines
 
     def _counter_lines(self, totals: dict[str, float]) -> list[str]:

@@ -3,8 +3,8 @@
 The spill-and-merge pipeline consumes the runtime event log and heat
 epochs, both of which the compiled backends must reproduce exactly.  A
 streamed run is the harshest consumer: every driver event, heat epoch,
-and allocation record lands in segment files in order, so one byte of
-drift anywhere in the launch pipeline shows up as a segment diff.
+and allocation record lands in the shard's segment log in order, so one
+byte of drift anywhere in the launch pipeline shows up as a log diff.
 """
 
 import json
@@ -18,7 +18,8 @@ from repro.interp.interpreter import Interpreter
 from repro.memsim import PLATFORMS
 from repro.runtime import Tracer
 from repro.stream.merge import merge_shards
-from repro.stream.shard import segment_files, split_stream
+from repro.stream.segments import LOG_NAME
+from repro.stream.shard import split_stream
 from repro.stream.spill import SpillingHeatStore, StreamSpiller
 from repro.workloads.minicuda import CATALOG
 
@@ -70,12 +71,12 @@ def streams(tmp_path_factory):
 
 def test_streamed_segments_byte_identical(streams):
     ref_dir, ref_manifest = streams["interp"]
-    ref_segments = {p.name: p.read_bytes() for p in segment_files(ref_dir)}
-    assert ref_segments  # the run actually streamed something
+    ref_log = (ref_dir / LOG_NAME).read_bytes()
+    assert ref_log  # the run actually streamed something
     for backend in ("codegen", "codegen-vec"):
         stream_dir, manifest = streams[backend]
-        segments = {p.name: p.read_bytes() for p in segment_files(stream_dir)}
-        assert segments == ref_segments, f"{backend} segment drift"
+        log = (stream_dir / LOG_NAME).read_bytes()
+        assert log == ref_log, f"{backend} segment drift"
         assert (_manifest_no_backend(manifest)
                 == _manifest_no_backend(ref_manifest))
 

@@ -7,14 +7,22 @@ import pytest
 
 from repro.heatmap.store import HeatStore
 from repro.stream.merge import merge_shards
-from repro.stream.segments import (TruncatedSegmentError, load_manifest,
-                                   segment_files)
+from repro.stream.segments import (LOG_NAME, TruncatedSegmentError,
+                                   load_manifest)
 from repro.stream.shard import run_streaming, split_stream
 from repro.telemetry.events_jsonl import encode_driver_event
 from repro.workloads.base import make_session
 from repro.workloads.registry import WORKLOADS
 
 K = 4
+
+
+def _cut_last_frame(shard_dir, keep):
+    """Cut a finished shard's log inside its last frame, keeping ``keep``
+    of that frame's bytes (a writer that died mid-segment)."""
+    last = load_manifest(shard_dir)["segments"][-1]
+    log = Path(shard_dir) / LOG_NAME
+    log.write_bytes(log.read_bytes()[: last["offset"] + keep(last["bytes"])])
 
 #: A pathfinder stream written by ``repro-agg run --platform pcie
 #: --sample 4 --log-capacity 64`` before shadow sampling was removed: six
@@ -164,9 +172,7 @@ class TestCrashedShard:
             dst = tmp_path / f"c{i}"
             shutil.copytree(shard, dst)
             broken.append(dst)
-        victim = segment_files(broken[-1])[-1]
-        data = victim.read_bytes()
-        victim.write_bytes(data[: int(len(data) * 0.7)])
+        _cut_last_frame(broken[-1], lambda n: int(n * 0.7))
         return broken
 
     def test_truncated_segment_skipped_with_warning(self, lulesh_shards,
@@ -295,7 +301,52 @@ class TestCli:
 
         main(["run", "--workload", "pathfinder", "--platform", "pcie",
               "--out", str(tmp_path / "run"), "--log-capacity", "64"])
-        victim = segment_files(tmp_path / "run")[-1]
-        victim.write_bytes(victim.read_bytes()[:40])
+        _cut_last_frame(tmp_path / "run", lambda n: 40)
         assert main(["merge", str(tmp_path / "run"),
                      "--out", str(tmp_path / "m"), "--strict"]) == 1
+
+
+class TestCliErrors:
+    """Bad input to split/merge: one located ``error:`` line, exit 1."""
+
+    def _error(self, capsys, argv, path):
+        from repro.stream.cli import main
+
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert str(path) in lines[0]
+        assert "Traceback" not in captured.err
+        return lines[0]
+
+    @pytest.fixture
+    def run_dir(self, tmp_path):
+        from repro.stream.cli import main
+
+        assert main(["run", "--workload", "pathfinder", "--platform", "pcie",
+                     "--out", str(tmp_path / "run"),
+                     "--log-capacity", "64"]) == 0
+        return tmp_path / "run"
+
+    def test_split_of_truncated_source(self, run_dir, tmp_path, capsys):
+        _cut_last_frame(run_dir, lambda n: n - 10)
+        line = self._error(capsys, ["split", str(run_dir),
+                                    "--out", str(tmp_path / "s")], run_dir)
+        assert "truncated tail" in line
+        assert not (tmp_path / "s").exists()
+
+    def test_split_without_manifest(self, tmp_path, capsys):
+        self._error(capsys, ["split", str(tmp_path / "none"),
+                             "--out", str(tmp_path / "s")],
+                    tmp_path / "none")
+
+    def test_merge_without_manifest(self, tmp_path, capsys):
+        self._error(capsys, ["merge", str(tmp_path / "none"),
+                             "--out", str(tmp_path / "m")],
+                    tmp_path / "none")
+
+    def test_split_into_zero_shards(self, run_dir, tmp_path, capsys):
+        line = self._error(capsys, ["split", str(run_dir), "-k", "0",
+                                    "--out", str(tmp_path / "s")], run_dir)
+        assert "0 shards" in line

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.stream.segments import SegmentWriter, segment_files
+from repro.stream.segments import LOG_NAME, SegmentWriter, load_manifest
 from repro.stream.shard import run_streaming, split_stream
 from repro.stream.top import Monitor, main
 
@@ -55,15 +55,20 @@ class TestMonitor:
 
         live = tmp_path / "live"
         shutil.copytree(shards[0], live)
-        victim = segment_files(live)[-1]
-        victim.write_bytes(victim.read_bytes()[:25])
-        frame = Monitor([live]).render_frame()  # must not raise
+        last = load_manifest(live)["segments"][-1]
+        log = live / LOG_NAME
+        log.write_bytes(log.read_bytes()[: last["offset"] + 25])
+        monitor = Monitor([live])
+        frame = monitor.render_frame()  # must not raise
         assert "repro-top" in frame
+        view = monitor.views[0]
+        assert view._cursor == last["offset"]  # torn frame not consumed
+        assert view.frames_read == len(load_manifest(live)["segments"]) - 1
 
     def test_incremental_tailing_only_reads_new_segments(self, tmp_path):
         writer = SegmentWriter(tmp_path, shard="s", workload="w",
                                platform="p")
-        writer.write_segment([
+        first = writer.write_segment([
             {"type": "alloc_meta", "label": "x", "base": 0, "serial": 0,
              "size": 64, "nwords": 16, "nbuckets": 4},
             {"type": "heat_epoch", "label": "x", "base": 0, "serial": 0,
@@ -71,15 +76,57 @@ class TestMonitor:
         ])
         monitor = Monitor([tmp_path], color=False)
         monitor.render_frame()
-        assert monitor.views[0].heat["x"][0] == 0
-        writer.write_segment([
+        view = monitor.views[0]
+        assert view.heat["x"][0] == 0
+        assert view._cursor == first["bytes"]
+        # Appended between two refreshes; the manifest still lists none.
+        second = writer.write_segment([
             {"type": "heat_epoch", "label": "x", "base": 0, "serial": 0,
              "epoch": 1, "counts": [[0, 5, 0, 0]] * 6, "sites": []},
         ])
+        assert load_manifest(tmp_path)["segments"] == []
         monitor.render_frame()
-        epoch, vec = monitor.views[0].heat["x"]
+        epoch, vec = view.heat["x"]
         assert epoch == 1 and vec[1] == 30
-        assert monitor.views[0]._read_segments == 2
+        assert view.frames_read == 2
+        assert view._cursor == second["offset"] + second["bytes"]
+        assert [e for e, _ in view.history["x"]] == [0, 1]  # each read once
+
+    def test_torn_tail_frame_is_retried_not_lost(self, tmp_path):
+        writer = SegmentWriter(tmp_path, shard="s", workload="w",
+                               platform="p")
+        records = [
+            {"type": "alloc_meta", "label": "x", "base": 0, "serial": 0,
+             "size": 64, "nwords": 16, "nbuckets": 4},
+            {"type": "heat_epoch", "label": "x", "base": 0, "serial": 0,
+             "epoch": 0, "counts": [[2, 0, 0, 0]] * 6, "sites": []},
+        ]
+        entry = writer.write_segment(records)
+        writer.finalize()
+        log = tmp_path / LOG_NAME
+        whole = log.read_bytes()
+        monitor = Monitor([tmp_path], color=False)
+        for cut in (10, entry["bytes"] - 3):  # mid-header, mid-trailer
+            log.write_bytes(whole[:cut])
+            monitor.render_frame()
+            assert monitor.views[0].frames_read == 0
+            assert monitor.views[0]._cursor == 0
+            assert "x" not in monitor.views[0].heat
+        log.write_bytes(whole)
+        monitor.render_frame()
+        assert monitor.views[0].frames_read == 1
+        assert monitor.views[0].heat["x"][0] == 0
+
+    def test_legacy_multi_file_layout_tails(self):
+        from pathlib import Path
+
+        legacy = Path(__file__).parent / "data" / "legacy-sampled-pathfinder"
+        monitor = Monitor([legacy], color=False)
+        frame = monitor.render_frame()
+        assert "6 segment(s)" in frame
+        assert monitor.views[0].heat
+        monitor.render_frame()
+        assert monitor.views[0].frames_read == 6  # nothing re-read
 
     def test_dropped_warning_row(self, tmp_path):
         writer = SegmentWriter(tmp_path, shard="s", workload="w",

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.canonjson import Encoded, dumps
+from repro.canonjson import dumps
 from repro.heatmap.store import HeatStore
 from repro.memsim import AddressSpace, MemoryKind, Processor
 from repro.signature.vector import RunSignature, signature_from_store
@@ -41,16 +41,6 @@ def test_empty_and_nested_empty_containers():
         for indent in (1, 2):
             assert dumps(doc, indent=indent, sort_keys=True) == \
                 json.dumps(doc, indent=indent, sort_keys=True)
-
-
-def test_encoded_fragments_splice_verbatim():
-    entries = [{"file": "s/0", "n": 1}, {"file": "s/1", "n": 2}]
-    doc = {"z": 0, "segments": entries, "a": {"b": [1, 2]}}
-    spliced = dict(doc, segments=[
-        Encoded(dumps(e, indent=1, sort_keys=True, level=2))
-        for e in entries])
-    assert dumps(spliced, indent=1, sort_keys=True) == \
-        json.dumps(doc, indent=1, sort_keys=True)
 
 
 def _store() -> HeatStore:
