@@ -1,9 +1,9 @@
-"""Codegen backends for mini-CUDA kernels.
+"""Codegen backends for mini-CUDA kernels and host code.
 
-Lowers instrumented kernel ASTs to native Python once per kernel
-(:mod:`repro.codegen.emitter`), optionally vectorizing the whole thread
-grid into numpy array operations (:mod:`repro.codegen.vectorize` +
-:mod:`repro.codegen.gridexec`).  Backend selection and the per-launch
+Lowers instrumented kernel and host-function ASTs to native Python once
+per function (:mod:`repro.codegen.emitter`), optionally vectorizing a
+kernel's whole thread grid into numpy array operations
+(:mod:`repro.codegen.vectorize` + :mod:`repro.codegen.gridexec`).  Backend selection and the per-launch
 fallback ladder live in :mod:`repro.codegen.backend`; the tree-walking
 interpreter remains the differential oracle every compiled backend must
 byte-match.

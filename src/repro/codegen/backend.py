@@ -1,4 +1,5 @@
-"""Backend selection and per-launch drivers for compiled kernels.
+"""Backend selection, per-launch drivers for compiled kernels, and the
+binding of compiled host functions.
 
 The interpreter calls :func:`run_compiled` from inside
 ``runtime.launch`` (so launch events fire exactly once regardless of
@@ -21,21 +22,46 @@ to the backend that actually produced them.  Custom tracer subclasses
 that override the ``trace*`` methods disable the compiled tiers
 entirely -- the emitted code binds the base implementations, and
 silently skipping an override would change observable behaviour.
+
+Host functions (``main`` and its helpers) have one compiled tier, the
+scalar emitter's host mode.  ``Interpreter._invoke`` asks
+:func:`bind_host` for a function's body once per interpreter when the
+backend is not ``interp``, the tracer is stock, no hooks are installed
+(the debugger) and no kernel thread or interpreted host frame is active.
+The bound code calls back into the interpreter for everything with a
+side effect beyond its own locals -- ``_alloc_local`` for each stack
+cell, ``_call_builtin`` for builtins (kernel launches reach
+:func:`run_compiled` through ``_run_kernel``, so launch counts are
+unchanged), ``_invoke`` for user functions -- so both tiers share one
+semantics.  A bail (see :mod:`.emitter`) leaves the function
+interpreted and records the reason in ``Interpreter.host_bails``.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..heatmap.store import SourceSite
-from ..interp.interpreter import _cdiv, _cmod
-from ..interp.values import InterpError, _reject, _typed_view
+from ..interp.interpreter import UNTYPED_SIZEOF, _cdiv, _cmod, alloc_data
+from ..interp.values import InterpError, addr_access, format_printf, load, store
 from ..runtime.tracer import Tracer
-from .emitter import DTYPES, WRAPS, CodegenBail, compile_scalar
+from .emitter import (
+    DTYPES,
+    GLOBAL,
+    WRAPS,
+    CodegenBail,
+    compile_host,
+    compile_scalar,
+    identifiers,
+)
 from .gridexec import VecBail, VecRun
 from .vectorize import compile_vec
 
 __all__ = [
     "BACKENDS",
+    "bind_host",
     "default_backend",
+    "host_error_line",
     "run_compiled",
     "set_default_backend",
 ]
@@ -65,61 +91,9 @@ def set_default_backend(name: str) -> None:
 # binding: emitted code -> a function closed over one interpreter
 
 
-def _make_ld(space, dt):
-    isize = dt.itemsize
-    int_kind = dt.kind in "iu"
-
-    def ld(addr):
-        alloc = space.find(addr)
-        if alloc is None or alloc.data is None:
-            _reject(space, addr)
-        idx, rem = divmod(addr - alloc.base, isize)
-        if rem == 0:
-            return _typed_view(alloc, dt).item(idx)
-        raw = alloc.view(dt, offset=addr - alloc.base, count=1)[0]
-        return int(raw) if int_kind else float(raw)
-
-    return ld
-
-
-def _make_st(space, dt):
-    isize = dt.itemsize
-    int_kind = dt.kind in "iu"
-    bits = isize * 8
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    full = 1 << bits
-    signed = dt.kind == "i"
-
-    def st(addr, value):
-        alloc = space.find(addr)
-        if alloc is None or alloc.data is None:
-            _reject(space, addr)
-        idx, rem = divmod(addr - alloc.base, isize)
-        if rem == 0:
-            view = _typed_view(alloc, dt)
-        else:
-            view = alloc.view(dt, offset=addr - alloc.base, count=1)
-            idx = 0
-        if int_kind:
-            iv = int(value) & mask
-            if signed and iv >= half:
-                iv -= full
-            view[idx] = iv
-        else:
-            view[idx] = value
-
-    return st
-
-
 def _make_printf(out):
     def _printf(*args):
-        fmt = str(args[0]).replace("\\n", "\n").replace("\\t", "\t")
-        fmt = fmt.replace("%d", "{}").replace("%f", "{}").replace("%s", "{}")
-        fmt = fmt.replace("%lu", "{}").replace("%g", "{}").replace(
-            "%p", "{:#x}")
-        out.write(fmt.format(*args[1:]))
-        return 0
+        out.write(format_printf(args))
 
     return _printf
 
@@ -136,26 +110,89 @@ def _base_globals(interp) -> dict:
     space = interp._space
     for key, dt in DTYPES.items():
         g[f"_w_{key}"] = WRAPS[key]
-        g[f"_ld_{key}"] = _make_ld(space, dt)
-        g[f"_st_{key}"] = _make_st(space, dt)
+        g[f"_ld_{key}"], g[f"_st_{key}"] = addr_access(space, dt)
     return g
 
 
+def _sizeof_load(ld, addr, size):
+    try:
+        ld(addr)
+    except InterpError:
+        raise InterpError(UNTYPED_SIZEOF) from None
+    return size
+
+
+def _host_globals(interp, ck) -> dict:
+    space = interp._space
+    g = {"_I": interp, "_AL": interp._alloc_local,
+         "_CB": interp._call_builtin, "_INV": interp._invoke,
+         "_RK": interp._run_kernel, "_LC": partial(load, space),
+         "_SC": partial(store, space), "_XAD": partial(alloc_data, space),
+         "_SZ": _sizeof_load,
+         "_SITE": lambda: SourceSite(interp.source_name, interp._line)}
+    for i, ctype in enumerate(ck.consts):
+        g[f"_T{i}"] = ctype
+    for name in ck.funcs:
+        g[f"_fn_{name}"] = interp.functions[name]
+    return g
+
+
+def _exec(interp, ck, heat_on: bool, host: bool):
+    """``exec`` compiled code into fresh interpreter-bound globals."""
+    g = _base_globals(interp)
+    if heat_on:
+        for i, line in enumerate(ck.sites):
+            g[f"_S{i}"] = SourceSite(interp.source_name, line)
+    if host:
+        g.update(_host_globals(interp, ck))
+    exec(ck.code, g)
+    return g["_host" if host else "_kernel"]
+
+
 def _bind(interp, ck, kind: str):
-    """``exec`` a compiled kernel into interpreter-bound globals once;
-    repeated launches reuse the bound function."""
+    """The kernel function of ``ck`` bound to ``interp`` once; repeated
+    launches reuse it."""
     cache = interp.__dict__.setdefault("_codegen_bound", {})
     key = (ck.digest, kind)
     hit = cache.get(key)
-    if hit is not None:
-        return hit
-    g = _base_globals(interp)
-    if kind == "scalar-heat":
-        for i, line in enumerate(ck.sites):
-            g[f"_S{i}"] = SourceSite(interp.source_name, line)
-    exec(ck.code, g)
-    fn = cache[key] = g["_kernel"]
-    return fn
+    if hit is None:
+        hit = cache[key] = _exec(interp, ck, kind == "scalar-heat", False)
+    return hit
+
+
+def bind_host(interp, fn, heat_on: bool):
+    """The compiled body of host function ``fn`` bound to ``interp``, or
+    ``None`` for kernels and bails (the reason lands in
+    ``interp.host_bails``).  Called once per function and heat setting;
+    ``Interpreter._host_body`` keeps the result."""
+    if fn.is_kernel or fn.body is None:
+        return None
+    names = {}
+    for name in identifiers(fn):
+        if interp.globals.lookup(name) is not None:
+            names[name] = GLOBAL
+        elif name in interp.functions:
+            names[name] = interp.functions[name]
+    try:
+        ck = compile_host(fn, heat_on, names)
+    except CodegenBail as bail:
+        interp.host_bails[fn.name] = bail.reason
+        return None
+    host = _exec(interp, ck, heat_on, True)
+    host.line_table = ck.line_table
+    return host
+
+
+def host_error_line(host, exc: InterpError) -> int:
+    """Source line of the statement the bound host function ``host`` ran
+    when it raised ``exc``: its own frame's line in the traceback, mapped
+    through the emitter's line table (-1: the interpreter's ``_line``)."""
+    tb = exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code is host.__code__:
+            return host.line_table[tb.tb_lineno - 1]
+        tb = tb.tb_next
+    return 0
 
 
 # --------------------------------------------------------------------- #

@@ -37,12 +37,14 @@ from .values import (
     InterpError,
     LValue,
     ReturnSignal,
+    format_printf,
     load,
     numpy_dtype,
     store,
 )
 
-__all__ = ["Interpreter", "InterpHooks", "run_program"]
+__all__ = ["Interpreter", "InterpHooks", "alloc_data", "alloc_label",
+           "run_program"]
 
 _TRACE_NAMES = set(TRACE_FNS.values())
 
@@ -120,7 +122,7 @@ class Interpreter:
     ) -> None:
         self.unit = unit
         self.source_name = source_name
-        from ..codegen.backend import BACKENDS, default_backend
+        from ..codegen.backend import BACKENDS, _tracer_eligible, default_backend
         self.backend = backend or default_backend()
         if self.backend not in BACKENDS:
             raise ValueError(
@@ -153,7 +155,18 @@ class Interpreter:
         #: per-call frames feeding it (see :meth:`_alloc_local`).
         self._cell_pool: dict[int, list] = {}
         self._frames: list[list] = []
+        #: ``(id(fn), heat_on)`` -> bound compiled host body, or ``None``.
+        self._host_bodies: dict[tuple[int, bool], Any] = {}
+        #: Host function name -> why the compiled tier refused it.
+        self.host_bails: dict[str, str] = {}
+        self._host_tier = False
         self._init_globals()
+        #: Host functions run compiled (see :meth:`_invoke`) unless this
+        #: is off: the ``interp`` backend, a tracer overriding the trace
+        #: hooks, global initializers, or an interpreted host frame on
+        #: the stack.
+        self._host_tier = (self.backend != "interp"
+                           and _tracer_eligible(self.tracer))
 
     # ------------------------------------------------------------------ #
     # setup / entry
@@ -185,21 +198,45 @@ class Interpreter:
     def call_function(self, name: str, args: list[Any]) -> Any:
         fn = self.functions.get(name)
         if fn is None or fn.body is None:
-            return self._call_builtin(name, args, raw_args=None, env=None)
+            return self._call_builtin(name, args)
         return self._invoke(fn, args)
 
     def _invoke(self, fn: A.FunctionDef, args: list[Any]) -> Any:
         """Call an already-resolved function (kernel loops skip the name
-        lookup this way)."""
-        env = self.globals.child()
+        lookup this way).
+
+        Host functions take their compiled body when the backend allows
+        it, no hooks are installed and no kernel thread is active; the
+        frame bookkeeping (stack cells, call stack) is the same either way.
+        """
         if len(args) != len(fn.params):
             raise InterpError(
                 f"{fn.name} expects {len(fn.params)} arguments, got {len(args)}")
-        space = self._space
+        host = None
+        if self._host_tier and self.hooks is None and not self._thread:
+            host = self._host_body(fn)
         frame: list = []
         self._frames.append(frame)
         self.call_stack.append((fn.name, self._line))
+        tier = self._host_tier
         try:
+            if host is not None:
+                try:
+                    return host(*args)
+                except InterpError as exc:
+                    if exc.site is None:
+                        from ..codegen.backend import host_error_line
+                        line = host_error_line(host, exc)
+                        if line >= 0:  # -1: ``_line`` is already current
+                            self._line = line
+                        self._decorate_error(exc)
+                    raise
+            # Callees of an interpreted frame stay interpreted: the
+            # frame reads ``_line`` after they return, and only the
+            # tree-walker keeps it current.
+            self._host_tier = False
+            env = self.globals.child()
+            space = self._space
             for param, value in zip(fn.params, args):
                 lv = self._alloc_local(param.name, param.ctype)
                 store(space, lv, value)
@@ -210,11 +247,23 @@ class Interpreter:
                 return r.value
             return None
         finally:
+            self._host_tier = tier
             self.call_stack.pop()
             self._frames.pop()
             pool = self._cell_pool
             for alloc in frame:
                 pool.setdefault(alloc.size, []).append(alloc)
+
+    def _host_body(self, fn: A.FunctionDef):
+        """The compiled body of host function ``fn`` bound to this
+        interpreter, or ``None`` (kernels and bails are interpreted)."""
+        key = (id(fn), self.tracer.heat is not None)
+        try:
+            return self._host_bodies[key]
+        except KeyError:
+            from ..codegen.backend import bind_host
+            body = self._host_bodies[key] = bind_host(self, fn, key[1])
+            return body
 
     def _alloc_local(self, name: str, ctype: CType) -> LValue:
         """A zeroed host cell for one local/param.
@@ -431,7 +480,7 @@ class Interpreter:
     def _eval_sizeof_expr(self, e: A.SizeofExpr, env: _Env):
         _, ctype = self._type_of(e.operand, env)
         if ctype is None:
-            raise InterpError("cannot compute sizeof of untyped expression")
+            raise InterpError(UNTYPED_SIZEOF)
         return ctype.size, None
 
     def _eval_kernel_launch(self, e: A.KernelLaunch, env: _Env):
@@ -614,20 +663,16 @@ class Interpreter:
                 return lv.addr, lv.ctype
             return load(self._space, lv), lv.ctype
         if name == "XplAllocData":
-            return self._make_alloc_data(e, env), None
+            addr = self.eval(e.args[0], env)[0]
+            label = self.eval(e.args[1], env)[0]
+            size = self.eval(e.args[2], env)[0]
+            return alloc_data(self._space, addr, label, size), None
         fn = self.functions.get(name)
         if fn is not None and fn.body is not None:
             args = [self.eval(a, env)[0] for a in e.args]
             return self._invoke(fn, args), fn.return_type
         args = [self.eval(a, env)[0] for a in e.args]
-        return self._call_builtin(name, args, raw_args=e.args, env=env), None
-
-    def _make_alloc_data(self, e: A.Call, env: _Env) -> XplAllocData:
-        addr, _ = self.eval(e.args[0], env)
-        name = self.eval(e.args[1], env)[0]
-        size = int(self.eval(e.args[2], env)[0])
-        alloc = self._space.find(int(addr))
-        return XplAllocData(int(addr), str(name), size, alloc)
+        return self._call_builtin(name, args, alloc_label(e.args)), None
 
     def _thread_builtin(self, name: str) -> int | None:
         return self._thread.get(name)
@@ -687,20 +732,22 @@ class Interpreter:
     # -- builtins --------------------------------------------------------- #
 
     def _call_builtin(self, name: str, args: list[Any],
-                      raw_args, env) -> Any:
+                      label: str = "managed") -> Any:
+        """Run builtin ``name``; ``label`` names a new allocation (see
+        :func:`alloc_label`)."""
         rt = self.runtime
         space = self._space
 
         if name in ("cudaMallocManaged", "trcMallocManaged"):
             out_ptr, size = int(args[0]), int(args[1])
-            ptr = rt.malloc_managed(size, label=self._label_for(raw_args, env))
+            ptr = rt.malloc_managed(size, label=label)
             store(space, LValue(out_ptr, Pointer(Primitive("size_t", 8))), ptr.addr)
             if name.startswith("trc"):
                 self.tracer.trc_register(ptr.alloc)
             return 0
         if name in ("cudaMalloc", "trcMalloc"):
             out_ptr, size = int(args[0]), int(args[1])
-            ptr = rt.malloc(size, label=self._label_for(raw_args, env))
+            ptr = rt.malloc(size, label=label)
             store(space, LValue(out_ptr, Pointer(Primitive("size_t", 8))), ptr.addr)
             if name.startswith("trc"):
                 self.tracer.trc_register(ptr.alloc)
@@ -747,26 +794,9 @@ class Interpreter:
             self._run_kernel(kernel, grid, block, list(args[5:]))
             return 0
         if name == "printf":
-            fmt = str(args[0]).replace("\\n", "\n").replace("\\t", "\t")
-            fmt = fmt.replace("%d", "{}").replace("%f", "{}").replace("%s", "{}")
-            fmt = fmt.replace("%lu", "{}").replace("%g", "{}").replace("%p", "{:#x}")
-            self.out.write(fmt.format(*args[1:]))
+            self.out.write(format_printf(args))
             return 0
         raise InterpError(f"unknown function {name!r}")
-
-    def _label_for(self, raw_args, env) -> str:
-        # Label managed allocations by the pointer expression, e.g.
-        # cudaMallocManaged((void**)&a, ...) -> "a".
-        if not raw_args:
-            return "managed"
-        arg = raw_args[0]
-        while isinstance(arg, (A.Cast,)):
-            arg = arg.operand
-        if isinstance(arg, A.Unary) and arg.op == "&":
-            inner = arg.operand
-            from ..instrument.unparse import unparse_expr
-            return unparse_expr(inner)
-        return "managed"
 
     def _as_ptr(self, addr: int) -> DevicePtr:
         alloc = self._space.find(addr)
@@ -793,14 +823,43 @@ class Interpreter:
             return None, None
 
 
+#: Error for a ``sizeof`` whose operand failed to evaluate.
+UNTYPED_SIZEOF = "cannot compute sizeof of untyped expression"
+
+
+def alloc_label(raw_args) -> str:
+    """Label of an allocation made by a builtin call with argument
+    expressions ``raw_args``: the pointer expression, e.g.
+    ``cudaMallocManaged((void**)&a, ...)`` -> ``"a"``."""
+    if not raw_args:
+        return "managed"
+    arg = raw_args[0]
+    while isinstance(arg, A.Cast):
+        arg = arg.operand
+    if isinstance(arg, A.Unary) and arg.op == "&":
+        from ..instrument.unparse import unparse_expr
+        return unparse_expr(arg.operand)
+    return "managed"
+
+
+def alloc_data(space, addr, name, size) -> XplAllocData:
+    """``XplAllocData(addr, name, size)`` for ``tracePrint``."""
+    return XplAllocData(int(addr), str(name), int(size),
+                        space.find(int(addr)))
+
+
 def _cdiv(a, b):
     if isinstance(a, int) and isinstance(b, int):
+        if a >= 0 and b > 0:
+            return a // b
         q = abs(a) // abs(b)
         return q if (a >= 0) == (b >= 0) else -q
     return a / b
 
 
 def _cmod(a, b):
+    if isinstance(a, int) and isinstance(b, int) and a >= 0 and b > 0:
+        return a % b
     return a - _cdiv(a, b) * b
 
 

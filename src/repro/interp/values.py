@@ -16,7 +16,7 @@ from ..instrument.typesys import Array, CType, Pointer, Primitive, StructType
 from ..memsim import AddressSpace, Allocation
 
 __all__ = [
-    "LValue", "numpy_dtype", "load", "store",
+    "LValue", "numpy_dtype", "load", "store", "addr_access", "format_printf",
     "ReturnSignal", "BreakSignal", "ContinueSignal", "InterpError",
 ]
 
@@ -138,39 +138,16 @@ def load(space: AddressSpace, lv: LValue) -> Any:
     if view is not None:
         # ``.item`` unboxes straight to a Python scalar in one call.
         return view.item(lv.idx)
-    addr = lv.addr
-    alloc = space.find(addr)
-    if alloc is None or alloc.data is None:
-        _reject(space, addr)
-    dt = numpy_dtype(lv.ctype)
-    idx, rem = divmod(addr - alloc.base, dt.itemsize)
-    if rem == 0:
-        return _typed_view(alloc, dt).item(idx)
-    # unaligned (packed struct field): build the view directly
-    raw = alloc.view(dt, offset=addr - alloc.base, count=1)[0]
-    if dt.kind in "iu":
-        return int(raw)
-    return float(raw)
+    return addr_access(space, numpy_dtype(lv.ctype))[0](lv.addr)
 
 
 def store(space: AddressSpace, lv: LValue, value: Any) -> None:
     """Write ``value`` at ``lv`` in simulated memory."""
     view = lv.view
-    if view is not None:
-        dt = view.dtype
-        idx = lv.idx
-    else:
-        addr = lv.addr
-        alloc = space.find(addr)
-        if alloc is None or alloc.data is None:
-            _reject(space, addr)
-        dt = numpy_dtype(lv.ctype)
-        idx, rem = divmod(addr - alloc.base, dt.itemsize)
-        if rem == 0:
-            view = _typed_view(alloc, dt)
-        else:
-            view = alloc.view(dt, offset=addr - alloc.base, count=1)
-            idx = 0
+    if view is None:
+        addr_access(space, numpy_dtype(lv.ctype))[1](lv.addr, value)
+        return
+    dt = view.dtype
     if dt.kind in "iu":
         # C-style wraparound on overflow (pure-int masking: no numpy
         # array round-trip per scalar write).
@@ -178,9 +155,71 @@ def store(space: AddressSpace, lv: LValue, value: Any) -> None:
         iv = int(value) & ((1 << bits) - 1)
         if dt.kind == "i" and iv >= 1 << (bits - 1):
             iv -= 1 << bits
-        view[idx] = iv
+        view[lv.idx] = iv
     else:
-        view[idx] = value
+        view[lv.idx] = value
+
+
+def addr_access(space: AddressSpace, dt: np.dtype) -> tuple:
+    """``(load(addr), store(addr, value))`` for ``dt`` values anywhere in
+    ``space``: the address-keyed path of :func:`load`/:func:`store`, made
+    once per space and dtype and bound by the compiled tiers."""
+    cache = space.__dict__.get("_addr_access")
+    if cache is None:
+        cache = space._addr_access = {}
+    pair = cache.get(dt.char)
+    if pair is None:
+        pair = cache[dt.char] = _make_access(space, dt)
+    return pair
+
+
+def _make_access(space: AddressSpace, dt: np.dtype) -> tuple:
+    isize = dt.itemsize
+    int_kind = dt.kind in "iu"
+    bits = isize * 8
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    full = 1 << bits
+    signed = dt.kind == "i"
+
+    def ld(addr):
+        alloc = space.find(addr)
+        if alloc is None or alloc.data is None:
+            _reject(space, addr)
+        idx, rem = divmod(addr - alloc.base, isize)
+        if rem == 0:
+            return _typed_view(alloc, dt).item(idx)
+        # unaligned (packed struct field): build the view directly
+        raw = alloc.view(dt, offset=addr - alloc.base, count=1)[0]
+        return int(raw) if int_kind else float(raw)
+
+    def st(addr, value):
+        alloc = space.find(addr)
+        if alloc is None or alloc.data is None:
+            _reject(space, addr)
+        idx, rem = divmod(addr - alloc.base, isize)
+        if rem == 0:
+            view = _typed_view(alloc, dt)
+        else:
+            view = alloc.view(dt, offset=addr - alloc.base, count=1)
+            idx = 0
+        if int_kind:
+            iv = int(value) & mask
+            if signed and iv >= half:
+                iv -= full
+            view[idx] = iv
+        else:
+            view[idx] = value
+
+    return ld, st
+
+
+def format_printf(args) -> str:
+    """The text ``printf(fmt, *rest)`` writes (both execution tiers)."""
+    fmt = str(args[0]).replace("\\n", "\n").replace("\\t", "\t")
+    fmt = fmt.replace("%d", "{}").replace("%f", "{}").replace("%s", "{}")
+    fmt = fmt.replace("%lu", "{}").replace("%g", "{}").replace("%p", "{:#x}")
+    return fmt.format(*args[1:])
 
 
 def _reject(space: AddressSpace, addr: int) -> None:
