@@ -25,6 +25,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
+from ..arrays import unique
 from ..memsim import (
     PAGE_SIZE,
     Allocation,
@@ -469,7 +470,7 @@ class CudaRuntime:
             )
         else:
             addrs = byte_offset + indices * elem_size
-            touched = np.unique(addrs // PAGE_SIZE)
+            touched = unique(addrs // PAGE_SIZE)
             out = self.platform.um.access(
                 alloc, int(touched[0]), int(touched[-1]) + 1, proc,
                 is_write=is_write, nbytes=nbytes,

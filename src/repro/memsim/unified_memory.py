@@ -383,29 +383,33 @@ class UnifiedMemoryDriver:
         st = self.state_of(alloc)
 
         # --- resident fast path ----------------------------------------- #
-        # Steady state: every page of the allocation already has a valid
-        # copy here (so fresh/remote/faulting masks are all empty), and for
-        # writes no page has a copy on the other processor (so there is no
+        # Steady state: every touched page already has a valid copy here
+        # (so fresh/remote/faulting masks are all empty), and for writes no
+        # touched page has a copy on the other processor (so there is no
         # duplicate to invalidate).  Present implies mapped throughout the
-        # driver, so residency alone decides.  Only the LRU refresh and the
+        # driver, so residency alone decides.  The allocation's cached
+        # summary answers for most accesses; only a partly resident one
+        # looks at the touched pages.  Only the LRU refresh and the
         # logical tick remain -- both must still happen, exactly as the
         # slow path would do them, or eviction ordering (and thus cost)
         # diverges between the paths.
         if self.fast_path:
             _, cpu_full, gpu_full, cpu_any, gpu_any = st.residency_summary()
-            full_here = gpu_full if proc is Processor.GPU else cpu_full
-            if full_here and not (is_write and (gpu_any if proc is Processor.CPU
-                                                else cpu_any)):
+            gpu = proc is Processor.GPU
+            here_full, there_any = ((gpu_full, cpu_any) if gpu
+                                    else (cpu_full, gpu_any))
+            touched = slice(lo_page, hi_page) if pages is None else pages
+            hit = here_full or st.present[proc, touched].all()
+            if hit and is_write and there_any:
+                hit = not st.present[proc.other, touched].any()
+            if hit:
                 if pages is not None and len(pages) == 0:
                     return _ZERO_OUTCOME
                 self._tick += 1
-                if proc is Processor.GPU:
-                    if pages is None:
-                        st.last_use[lo_page:hi_page] = self._tick
-                    else:
-                        st.last_use[pages] = self._tick
+                if gpu:
+                    st.last_use[touched] = self._tick
                 if self.metrics_hook is not None:
-                    self._emit_outcome(_ZERO_OUTCOME, proc)
+                    self._emit_pages_in_use()
                 return _ZERO_OUTCOME
 
         out = AccessOutcome()
@@ -429,7 +433,7 @@ class UnifiedMemoryDriver:
         # node is oversubscribed -- this is where the paper's optimized
         # Smith-Waterman still loses ~12s to "GPU page fault groups".
         fresh = ~here & ~there
-        n_fresh = int(fresh.sum())
+        n_fresh = int(np.count_nonzero(fresh))
         if n_fresh:
             fresh_idx = page_idx[fresh]
             self._populate(st, fresh_idx, proc)
@@ -462,7 +466,7 @@ class UnifiedMemoryDriver:
         if is_write:
             remote &= ~st.read_mostly[page_idx]
         remote_units = min(accessors, p.max_replay_blocks)
-        n_remote = int(remote.sum())
+        n_remote = int(np.count_nonzero(remote))
         if n_remote:
             rbytes = n_remote * bytes_per_page
             cost = (self.link.remote_access_time(rbytes)
@@ -548,7 +552,7 @@ class UnifiedMemoryDriver:
         # --- write to a duplicated read-mostly page: invalidate copies -- #
         if is_write:
             dup = st.present[proc, page_idx] & st.present[proc.other, page_idx]
-            n_dup = int(dup.sum())
+            n_dup = int(np.count_nonzero(dup))
             if n_dup:
                 self._drop_copies(st, page_idx[dup], keep=proc)
                 cost = n_dup * p.invalidation_time
@@ -587,6 +591,12 @@ class UnifiedMemoryDriver:
                 hook(name, float(value), labels)
         if out.cost:
             hook("um_access_cost_seconds", out.cost, labels)
+        self._emit_pages_in_use()
+
+    def _emit_pages_in_use(self) -> None:
+        """Forward the GPU residency gauge -- all a zero outcome emits."""
+        hook = self.metrics_hook
+        assert hook is not None
         hook("um_gpu_pages_in_use", float(self.gpu_pages_in_use), {})
 
     # ------------------------------------------------------------------ #

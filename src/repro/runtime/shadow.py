@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..arrays import unique
 from ..memsim import Allocation, Processor
 from . import flags as F
 
@@ -79,6 +80,35 @@ def _counter_table() -> np.ndarray:
 _COUNTER_TABLE = _counter_table()
 
 
+def _mark_write(window: np.ndarray, proc: Processor) -> None:
+    """The write rule, in place: ``proc``'s write bit and the last writer."""
+    window |= F.write_bit(proc)
+    if proc is Processor.GPU:
+        window |= F.LAST_WRITE_GPU
+    else:
+        window &= np.uint8(~F.LAST_WRITE_GPU & 0xFF)
+
+
+def _mark_read(window: np.ndarray, proc: Processor) -> None:
+    """The read rule, in place: one read bit per word, by value origin."""
+    origin_gpu = (window & F.LAST_WRITE_GPU) != 0
+    window[origin_gpu] |= F.read_bit_for(proc, True)
+    window[~origin_gpu] |= F.read_bit_for(proc, False)
+
+
+def _rule_table(mark) -> np.ndarray:
+    """``(2, 256)`` uint8: each shadow byte after ``mark`` by each
+    processor, so a gather/scatter applies the rule in one lookup."""
+    table = np.tile(np.arange(256, dtype=np.uint8), (len(Processor), 1))
+    for proc in Processor:
+        mark(table[proc], proc)
+    return table
+
+
+_WRITE_TABLE = _rule_table(_mark_write)
+_READ_TABLE = _rule_table(_mark_read)
+
+
 class ShadowBlock:
     """Shadow state for one allocation."""
 
@@ -111,15 +141,18 @@ class ShadowBlock:
     def word_indices(self, byte_offset: int, elem_size: int,
                      indices: np.ndarray) -> np.ndarray:
         """Unique word indices for a gather/scatter access."""
+        if elem_size == F.WORD_SIZE:
+            # (b + 4 i) // 4 == b // 4 + i: one add, no multiply or divide.
+            return unique(indices + byte_offset // F.WORD_SIZE)
         starts = byte_offset + indices * elem_size
-        if elem_size <= F.WORD_SIZE:
+        if elem_size < F.WORD_SIZE:
             words = starts // F.WORD_SIZE
         else:
             # Wide elements span several words.
             span = -(-elem_size // F.WORD_SIZE)
             words = (starts[:, None] // F.WORD_SIZE) + np.arange(span)[None, :]
             words = words.ravel()
-        return np.unique(words)
+        return unique(words)
 
     # ------------------------------------------------------------------ #
     # update rules
@@ -127,37 +160,18 @@ class ShadowBlock:
     def record_write(self, proc: Processor, lo: int, hi: int,
                      idx: np.ndarray | None = None) -> None:
         """Mark words written by ``proc`` and update the last-writer bit."""
-        wbit = F.write_bit(proc)
-        target = self.shadow[lo:hi] if idx is None else self.shadow
         if idx is None:
-            target |= wbit
-            if proc is Processor.GPU:
-                target |= F.LAST_WRITE_GPU
-            else:
-                target &= np.uint8(~F.LAST_WRITE_GPU & 0xFF)
+            _mark_write(self.shadow[lo:hi], proc)
         else:
-            self.shadow[idx] |= wbit
-            if proc is Processor.GPU:
-                self.shadow[idx] |= F.LAST_WRITE_GPU
-            else:
-                self.shadow[idx] &= np.uint8(~F.LAST_WRITE_GPU & 0xFF)
+            self.shadow[idx] = _WRITE_TABLE[proc].take(self.shadow[idx])
 
     def record_read(self, proc: Processor, lo: int, hi: int,
                     idx: np.ndarray | None = None) -> None:
         """Mark words read by ``proc``, classified by value origin."""
         if idx is None:
-            window = self.shadow[lo:hi]
-            origin_gpu = (window & F.LAST_WRITE_GPU) != 0
-            gpu_origin_bit = F.read_bit_for(proc, True)
-            cpu_origin_bit = F.read_bit_for(proc, False)
-            window[origin_gpu] |= gpu_origin_bit
-            window[~origin_gpu] |= cpu_origin_bit
+            _mark_read(self.shadow[lo:hi], proc)
         else:
-            window = self.shadow[idx]
-            origin_gpu = (window & F.LAST_WRITE_GPU) != 0
-            window[origin_gpu] |= F.read_bit_for(proc, True)
-            window[~origin_gpu] |= F.read_bit_for(proc, False)
-            self.shadow[idx] = window
+            self.shadow[idx] = _READ_TABLE[proc].take(self.shadow[idx])
 
     def record_rmw(self, proc: Processor, lo: int, hi: int,
                    idx: np.ndarray | None = None) -> None:

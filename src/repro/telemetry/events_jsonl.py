@@ -116,7 +116,7 @@ class JsonlWriter:
             raise ValueError("every JSONL record needs a 'type' field")
         if self.records == 0 and record["type"] != "manifest":
             raise ValueError("the first JSONL record must be the run manifest")
-        self._stream.write(json.dumps(record, default=_default) + "\n")
+        self._stream.write(_ENCODER.encode(record) + "\n")
         self.records += 1
 
     def close(self) -> None:
@@ -141,6 +141,11 @@ def _default(obj: Any) -> Any:
     if callable(item):
         return item()
     return str(obj)
+
+
+#: One encoder for every record: ``json.dumps(record, default=_default)``
+#: would build a fresh :class:`json.JSONEncoder` per call.
+_ENCODER = json.JSONEncoder(default=_default)
 
 
 def read_jsonl(path: str | Path) -> list[dict[str, Any]]:

@@ -90,12 +90,21 @@ class _Instrument:
         self.name = _validate_name(name)
         self.help = help
         self._series: dict[tuple[tuple[str, str], ...], _Series] = {}
+        #: Label items as passed -> series, so a repeated call skips the
+        #: sort in ``_label_key``.  Only all-``str`` label sets are kept:
+        #: ``True == 1 == 1.0`` hash alike but ``str()`` to three series.
+        self._by_items: dict[tuple, _Series] = {}
 
     def _child(self, labels: Mapping[str, str]) -> _Series:
-        key = _label_key(labels)
-        series = self._series.get(key)
+        items = tuple(labels.items())
+        series = self._by_items.get(items)
         if series is None:
-            series = self._series[key] = self._new_series()
+            key = _label_key(labels)
+            series = self._series.get(key)
+            if series is None:
+                series = self._series[key] = self._new_series()
+            if all(type(k) is str and type(v) is str for k, v in items):
+                self._by_items[items] = series
         return series
 
     def _new_series(self) -> _Series:
@@ -119,9 +128,10 @@ class Counter(_Instrument):
     kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        """Add ``amount`` (must be >= 0) to the labeled series."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease by {amount}")
+        """Add ``amount`` (finite, >= 0) to the labeled series."""
+        if not 0 <= amount < math.inf:
+            raise ValueError(
+                f"counter {self.name} cannot increase by {amount}")
         self._child(labels).value += amount
 
     def value(self, **labels: str) -> float:
@@ -172,7 +182,9 @@ class Histogram(_Instrument):
         return _HistSeries(buckets=[0] * len(self.bounds))
 
     def observe(self, value: float, **labels: str) -> None:
-        """Record one observation."""
+        """Record one finite observation."""
+        if not math.isfinite(value):
+            raise ValueError(f"histogram {self.name} cannot observe {value}")
         s = self._child(labels)
         assert isinstance(s, _HistSeries)
         s.count += 1

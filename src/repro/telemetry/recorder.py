@@ -451,10 +451,11 @@ class TelemetryRecorder(ObserverBase):
     def on_access(self, proc, alloc, byte_offset, elem_size, count,
                   is_write, indices, is_rmw) -> None:  # noqa: D102
         op = "rmw" if is_rmw else ("write" if is_write else "read")
+        name = proc.name
         self.metrics.counter("accesses_total", "traced heap accesses"
-                             ).inc(1, proc=proc.name, op=op)
+                             ).inc(1, proc=name, op=op)
         self.metrics.counter("access_bytes_total", "traced heap bytes"
-                             ).inc(count * elem_size, proc=proc.name, op=op)
+                             ).inc(count * elem_size, proc=name, op=op)
 
     def on_memcpy(self, dst, dst_off, src, src_off, nbytes, kind) -> None:  # noqa: D102
         self.metrics.counter("memcpys_total", "explicit cudaMemcpy calls"

@@ -131,6 +131,36 @@ class TestShadowInvariants:
         assert c.read_gg == len(reads[("G", "G")])
 
 
+class TestIndexedUpdates:
+    """Scattered updates go through per-byte rule tables; the range path
+    applies the rules in place.  Both must give the same bytes."""
+
+    @pytest.mark.parametrize("proc", [CPU, GPU])
+    @pytest.mark.parametrize("rule", ["record_read", "record_write",
+                                      "record_rmw"])
+    def test_every_byte_value(self, rule, proc):
+        every = np.arange(256, dtype=np.uint8)
+        ranged, indexed = block_with_shadow(every), block_with_shadow(every)
+        getattr(ranged, rule)(proc, 0, 256)
+        # Reversed and repeated: order and duplicates must not matter.
+        idx = np.concatenate([np.arange(256)[::-1], np.arange(0, 256, 3)])
+        getattr(indexed, rule)(proc, 0, 0, idx)
+        np.testing.assert_array_equal(indexed.shadow, ranged.shadow)
+
+    @given(st.lists(ops, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_sequences_match(self, sequence):
+        ranged, indexed = make_block(), make_block()
+        apply_ops(ranged, sequence)
+        rules = {"r": indexed.record_read, "w": indexed.record_write,
+                 "rw": indexed.record_rmw}
+        for kind, proc, lo, span in sequence:
+            idx = np.arange(lo, min(NWORDS, lo + span))
+            if len(idx):
+                rules[kind](proc, 0, 0, idx)
+        np.testing.assert_array_equal(indexed.shadow, ranged.shadow)
+
+
 def _mask_oracle(shadow: np.ndarray) -> dict[str, int]:
     """The per-bit mask formulas the one-pass counters must reproduce."""
     def n(mask) -> int:

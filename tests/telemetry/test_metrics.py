@@ -27,11 +27,21 @@ class TestCounter:
         with pytest.raises(ValueError):
             c.inc(-1)
 
+    @pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf])
+    def test_non_finite_increment_rejected(self, amount):
+        c = Counter("x_total")
+        c.inc(1)
+        with pytest.raises(ValueError):
+            c.inc(amount)
+        assert c.value() == 1.0
+
     def test_label_order_does_not_matter(self):
         c = Counter("x_total")
         c.inc(1, a="1", b="2")
         c.inc(1, b="2", a="1")
-        assert c.value(b="2", a="1") == 2.0
+        c.inc(1, a="1", b="2")
+        assert c.value(b="2", a="1") == 3.0
+        assert list(c.series()) == [(("a", "1"), ("b", "2"))]
 
 
 class TestGauge:
@@ -59,6 +69,18 @@ class TestHistogram:
         h.observe(0.25)
         h.observe(0.5)
         assert "s_seconds_sum 0.75" in "\n".join(h.expose())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_observation_rejected(self, value):
+        # A NaN falls in no bucket: `_count` would outrun the +Inf bucket.
+        h = Histogram("t_seconds", buckets=(1.0,))
+        h.observe(0.5)
+        with pytest.raises(ValueError):
+            h.observe(value)
+        text = "\n".join(h.expose())
+        assert 't_seconds_bucket{le="+Inf"} 1' in text
+        assert "t_seconds_count 1" in text
+        assert "t_seconds_sum 0.5" in text
 
     def test_inf_bucket_always_present(self):
         h = Histogram("t_seconds", buckets=(1.0, 2.0))
@@ -129,3 +151,70 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.histogram("h_seconds", "a\\b\nc").observe(0.1)
         assert r"# HELP h_seconds a\\b\nc" in reg.to_prometheus()
+
+
+class TestLabelSemantics:
+    """Series identity is the sorted ``str()`` of every label pair."""
+
+    def test_int_and_str_values_merge(self):
+        c = Counter("x_total")
+        c.inc(1, k=1)
+        c.inc(1, k="1")
+        c.inc(1, k=1)
+        assert c.series() == {(("k", "1"),): 3.0}
+
+    @pytest.mark.parametrize("first", ["1", 1, True, 1.0])
+    def test_equal_hashing_values_stay_apart(self, first):
+        # 1 == True == 1.0 hash alike, but str() tells them apart.
+        c = Counter("x_total")
+        c.inc(1, k=first)
+        for value in ("1", True, 1.0, True, 1.0, "1"):
+            c.inc(1, k=value)
+        series = c.series()
+        assert set(series) == {(("k", "1"),), (("k", "True"),),
+                               (("k", "1.0"),)}
+        assert sum(series.values()) == 7.0
+        assert series[(("k", str(first)),)] == 3.0
+
+    def test_exposition_matches_sorted_str_labels(self):
+        reg = MetricsRegistry("x_")
+        c = reg.counter("hits_total", "hits")
+        c.inc(1, a="1", b="2")
+        c.inc(2, b="2", a="1")
+        for value in (1, "1", True, 1.0, 1):
+            c.inc(1, k=value)
+        c.inc(5)
+        g = reg.gauge("level")
+        g.set(3, proc="GPU")
+        g.set(4, proc="GPU")
+        g.inc(1, n=2)
+        g.inc(1, n="2")
+        h = reg.histogram("lat_seconds", buckets=(0.1, 1.0))
+        h.observe(0.05, k=True)
+        h.observe(0.5, k="True")
+        h.observe(2.0, k=1)
+        assert reg.to_prometheus() == """\
+# HELP x_hits_total hits
+# TYPE x_hits_total counter
+x_hits_total 5
+x_hits_total{a="1",b="2"} 3
+x_hits_total{k="1"} 3
+x_hits_total{k="1.0"} 1
+x_hits_total{k="True"} 1
+# HELP x_lat_seconds x_lat_seconds
+# TYPE x_lat_seconds histogram
+x_lat_seconds_bucket{k="1",le="0.1"} 0
+x_lat_seconds_bucket{k="1",le="1"} 0
+x_lat_seconds_bucket{k="1",le="+Inf"} 1
+x_lat_seconds_sum{k="1"} 2
+x_lat_seconds_count{k="1"} 1
+x_lat_seconds_bucket{k="True",le="0.1"} 1
+x_lat_seconds_bucket{k="True",le="1"} 2
+x_lat_seconds_bucket{k="True",le="+Inf"} 2
+x_lat_seconds_sum{k="True"} 0.55
+x_lat_seconds_count{k="True"} 2
+# HELP x_level x_level
+# TYPE x_level gauge
+x_level{n="2"} 2
+x_level{proc="GPU"} 4
+"""
