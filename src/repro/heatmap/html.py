@@ -167,44 +167,69 @@ def _findings_by_alloc_epoch(diagnoses: Sequence[Any]):
 
 
 def _alloc_svg(heat: AllocationHeat, findings_index: dict) -> str:
-    """One allocation's temporal heat strip as inline SVG."""
+    """One allocation's temporal heat strip as inline SVG.
+
+    Each epoch row draws its heated buckets as runs: adjacent buckets of
+    one ramp level share a ``<rect>``.  The row's ``<title>`` gives the
+    number of heated buckets and the hottest one (the lowest on ties)
+    with its word range, channel counts and top site.  The exact
+    per-bucket numbers are in ``heat.csv``/``heat.npz``.
+    """
     epochs = heat.epochs
-    # All epochs' heated cells at once: epoch i owns [bounds[i], bounds[i+1]).
+    nb = heat.nbuckets
     stacked = heat.epoch_counts()
-    ei, buckets = np.nonzero(stacked.any(axis=1))
-    bounds = np.searchsorted(ei, np.arange(len(epochs) + 1)).tolist()
-    counts = stacked[ei, :, buckets]
-    hot = counts.sum(axis=1)
-    peak = int(hot.max()) if hot.size else 0
-    # Ramp level 1..len(_SEQ_RAMP), sqrt scale (counts exact in f64).
-    levels = np.clip(np.ceil(np.sqrt(hot / peak) * (len(_SEQ_RAMP) - 1)) + 1,
-                     1, len(_SEQ_RAMP)).astype(np.int64).tolist()
-    buckets, counts = buckets.tolist(), counts.tolist()
+    mat = stacked.sum(axis=1)
+    heated = mat > 0
+    peak = int(mat.max()) if mat.size else 0
+    # Ramp level 1..len(_SEQ_RAMP) per heated cell, 0 elsewhere; sqrt
+    # scale (counts exact in f64).
+    levels = np.zeros(mat.shape, np.int64)
+    levels[heated] = np.clip(
+        np.ceil(np.sqrt(mat[heated] / peak) * (len(_SEQ_RAMP) - 1)) + 1,
+        1, len(_SEQ_RAMP))
+    # Runs of equal level, split at every row start; level-0 runs are gaps.
+    flat = levels.ravel()
+    edge = np.ones(flat.size + 1, bool)
+    edge[1:-1] = flat[1:] != flat[:-1]
+    edge[::nb] = True
+    bounds = np.flatnonzero(edge)
+    starts, stops = bounds[:-1], bounds[1:]
+    keep = flat[starts] > 0
+    starts, stops = starts[keep], stops[keep]
+    row_bounds = np.searchsorted(starts // nb,
+                                 np.arange(len(epochs) + 1)).tolist()
     step_x, step_y = _CELL_W + _GAP, _CELL_H + _GAP
-    width = _GUTTER + heat.nbuckets * step_x
+    run_x = (_GUTTER + (starts % nb) * step_x).tolist()
+    run_w = ((stops - starts) * step_x - _GAP).tolist()
+    run_lev = flat[starts].tolist()
+    n_heated = heated.sum(axis=1).tolist()
+    hottest = mat.argmax(axis=1)
+    hot_counts = stacked[np.arange(len(epochs)), :, hottest].tolist()
+    width = _GUTTER + nb * step_x
     height = len(epochs) * step_y + 18
-    words = [f", words [{lo},{hi}): cpu r/w "
-             for lo, hi in zip(heat._starts.tolist(), heat._ends.tolist())]
-    site_tips = {s: f" — top site {_esc(s.label)}"
-                 for s in {s for e in epochs for s in e.sites}}
     parts = [f'<svg width="{width}" height="{height}" '
              f'viewBox="0 0 {width} {height}" role="img" '
              f'aria-label="temporal heatmap of {_esc(heat.label)}">']
-    for ei, e in enumerate(epochs):
+    for ei, (e, hb) in enumerate(zip(epochs, hottest.tolist())):
         y = ei * step_y
         parts.append(f'<text x="{_GUTTER - 8}" y="{y + _CELL_H - 3}" '
                      f'text-anchor="end">e{e.epoch}</text>')
-        sites, top, _ = e.bucket_top_sites()
-        tops = top.tolist()
-        tips = [site_tips[s] for s in sites] + [""]  # [-1]: no site
-        lo, hi = bounds[ei], bounds[ei + 1]
-        parts.extend(
-            f'<rect x="{_GUTTER + b * step_x}" y="{y}" width="{_CELL_W}" '
-            f'height="{_CELL_H}" rx="2" fill="var(--h{lev})">'
-            f"<title>epoch {e.epoch}{words[b]}{c0}/{c1}, "
-            f"gpu r/w {c2}/{c3}{tips[tops[b]]}</title></rect>"
-            for b, lev, (c0, c1, c2, c3) in zip(
-                buckets[lo:hi], levels[lo:hi], counts[lo:hi]))
+        if n_heated[ei]:
+            lo, hi = heat.bucket_word_range(hb)
+            c0, c1, c2, c3 = hot_counts[ei]
+            top = e.top_sites(1, hb, hb + 1)
+            site = f" — top site {_esc(top[0][0].label)}" if top else ""
+            parts.append(
+                f"<g><title>epoch {e.epoch}: {n_heated[ei]} of {nb} buckets "
+                f"heated; hottest bucket {hb}, words [{lo},{hi}): "
+                f"cpu r/w {c0}/{c1}, gpu r/w {c2}/{c3}{site}</title>")
+            r0, r1 = row_bounds[ei], row_bounds[ei + 1]
+            parts.extend(
+                f'<rect x="{x}" y="{y}" width="{w}" height="{_CELL_H}" '
+                f'rx="2" fill="var(--h{lev})"/>'
+                for x, w, lev in zip(run_x[r0:r1], run_w[r0:r1],
+                                     run_lev[r0:r1]))
+            parts.append("</g>")
         # Anti-pattern overlays: status-colored outline over the epoch
         # row region the finding fired on (icon + label ride the list
         # below -- never color alone).

@@ -15,13 +15,25 @@ import numpy as np
 __all__ = ["AccessMap", "overlap"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AccessMap:
-    """One boolean per traced 32-bit word of an allocation."""
+    """One boolean per traced 32-bit word of an allocation.
+
+    Equal when name, category and every mask entry match.  Unhashable:
+    the mask is a mutable array.
+    """
 
     name: str
     category: str
     mask: np.ndarray  # bool, one entry per word
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AccessMap):
+            return NotImplemented
+        return (self.name == other.name and self.category == other.category
+                and np.array_equal(self.mask, other.mask))
+
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def words(self) -> int:

@@ -10,25 +10,65 @@ then resets the epoch.
 Each block's counters -- the Fig 4 columns and the alternating-word
 count alike -- come from a single :meth:`ShadowBlock.counts` call, one
 histogram pass over the block's nonzero shadow bytes.
+
+Access maps are views of one read-only copy of the block's shadow bytes
+(one byte per word, as in Fig 3): :class:`ShadowMaps` builds a
+category's boolean mask only when that category is looked up.
 """
 
 from __future__ import annotations
 
-import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from types import MappingProxyType
+from typing import IO, Iterator, Sequence
+
+import numpy as np
 
 from ..memsim import Allocation, MemoryKind
 
 from .access_map import AccessMap
 from .alloc_data import XplAllocData
-from .shadow import AccessCounts, ShadowBlock
+from .shadow import CATEGORY_BITS, AccessCounts, ShadowBlock
 from .tracer import Tracer
 
-__all__ = ["AllocationReport", "DiagnosticResult", "trace_print"]
+__all__ = ["AllocationReport", "DiagnosticResult", "ShadowMaps",
+           "trace_print"]
 
 #: Default low-access-density threshold (paper: "e.g., 50%").
 DENSITY_THRESHOLD = 0.5
+
+#: ``AllocationReport.maps`` of a diagnostic taken without maps.
+_NO_MAPS: Mapping[str, AccessMap] = MappingProxyType({})
+
+
+class ShadowMaps(Mapping[str, AccessMap]):
+    """Read-only ``category -> AccessMap`` view of one shadow snapshot.
+
+    Keys are the :data:`~repro.runtime.shadow.CATEGORY_BITS` categories,
+    in that order; each lookup builds the category's mask afresh from the
+    snapshot, so the report keeps one byte per word however many maps a
+    figure or detector reads.
+    """
+
+    __slots__ = ("_name", "_shadow")
+
+    def __init__(self, name: str, shadow: np.ndarray) -> None:
+        self._name = name
+        self._shadow = shadow
+
+    def __getitem__(self, category: str) -> AccessMap:
+        return AccessMap(self._name, category,
+                         (self._shadow & CATEGORY_BITS[category]) != 0)
+
+    def __contains__(self, category: object) -> bool:
+        return category in CATEGORY_BITS
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(CATEGORY_BITS)
+
+    def __len__(self) -> int:
+        return len(CATEGORY_BITS)
 
 
 @dataclass(frozen=True)
@@ -40,7 +80,9 @@ class AllocationReport:
     counts: AccessCounts
     alternating: int
     freed: bool
-    maps: dict[str, AccessMap] = field(default_factory=dict)
+    #: Per-category access maps (:class:`ShadowMaps`), or empty when the
+    #: diagnostic ran without ``include_maps``.
+    maps: Mapping[str, AccessMap] = field(default_factory=dict)
     #: Top ``(site label, word-access count)`` pairs for this epoch, when
     #: the tracer carries a heat store (empty otherwise).
     hot_sites: tuple[tuple[str, int], ...] = ()
@@ -81,12 +123,11 @@ class DiagnosticResult:
 
 def _report_block(block: ShadowBlock, name: str, *, include_maps: bool,
                   heat=None) -> AllocationReport:
-    maps: dict[str, AccessMap] = {}
+    maps = _NO_MAPS
     if include_maps:
-        maps = {
-            cat: AccessMap(name, cat, mask)
-            for cat, mask in block.category_masks().items()
-        }
+        snapshot = block.shadow.copy()
+        snapshot.flags.writeable = False
+        maps = ShadowMaps(name, snapshot)
     hot_sites: tuple[tuple[str, int], ...] = ()
     if heat is not None:
         alloc_heat = heat.peek(block.alloc)

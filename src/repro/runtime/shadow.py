@@ -25,7 +25,21 @@ from ..arrays import unique
 from ..memsim import Allocation, Processor
 from . import flags as F
 
-__all__ = ["ShadowBlock", "AccessCounts", "nwords_for"]
+__all__ = ["ShadowBlock", "AccessCounts", "CATEGORY_BITS", "nwords_for"]
+
+#: Access-map category -> the shadow bits any one of which puts a word in
+#: that category's map (Figs 5/7/8/10).  :meth:`ShadowBlock.category_masks`
+#: and the diagnostic's lazy maps both read this one table.
+CATEGORY_BITS: dict[str, np.uint8] = {
+    "cpu_write": F.CPU_WROTE,
+    "gpu_write": F.GPU_WROTE,
+    "cpu_read": F.READ_CC | F.READ_GC,
+    "gpu_read": F.READ_CG | F.READ_GG,
+    "gpu_read_cpu_origin": F.READ_CG,
+    "gpu_read_gpu_origin": F.READ_GG,
+    "cpu_read_gpu_origin": F.READ_GC,
+    "accessed": F.EPOCH_MASK,
+}
 
 
 def nwords_for(size: int) -> int:
@@ -200,16 +214,7 @@ class ShadowBlock:
     def category_masks(self) -> dict[str, np.ndarray]:
         """Per-word boolean masks for access-map figures (Fig 5/7/8/10)."""
         s = self.shadow
-        return {
-            "cpu_write": (s & F.CPU_WROTE) != 0,
-            "gpu_write": (s & F.GPU_WROTE) != 0,
-            "cpu_read": (s & (F.READ_CC | F.READ_GC)) != 0,
-            "gpu_read": (s & (F.READ_CG | F.READ_GG)) != 0,
-            "gpu_read_cpu_origin": (s & F.READ_CG) != 0,
-            "gpu_read_gpu_origin": (s & F.READ_GG) != 0,
-            "cpu_read_gpu_origin": (s & F.READ_GC) != 0,
-            "accessed": (s & F.EPOCH_MASK) != 0,
-        }
+        return {cat: (s & bits) != 0 for cat, bits in CATEGORY_BITS.items()}
 
     def reset(self) -> None:
         """Epoch reset: clear access bits, keep the last-writer bit."""

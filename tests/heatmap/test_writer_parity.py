@@ -1,11 +1,14 @@
 """Array-at-a-time heat writers byte-match the per-cell reference loops.
 
-``HeatStore.to_csv`` and the report's SVG heat strips compute each
-bucket's top site once per epoch and emit whole rows from numpy arrays.
-The straightforward per-cell loops they replaced live on here, and only
-here, as the oracle: the writers must match them byte for byte on real
-runs, on a stream-merged store, and on hand-built epochs that exercise
-the attribution edge cases (ties, unsorted site dicts, ``<other>``
+``HeatStore.to_csv`` computes each bucket's top site once per epoch,
+and the report's SVG heat strips find their runs of equal level for all
+epochs at once; both emit whole rows from numpy arrays.
+Straightforward per-cell loops live on here, and only here, as the
+oracle: a CSV row per heated bucket, and for the strips a level per
+heated cell, merged afterwards into runs of equal level under one row
+summary.  The writers must match them byte for byte on real runs, on a
+stream-merged store, and on hand-built epochs that exercise the
+attribution edge cases (ties, unsorted site dicts, ``<other>``
 overflow, heat without a site, labels that need escaping).
 """
 
@@ -82,21 +85,32 @@ def _oracle_svg(heat: AllocationHeat, findings_index: dict) -> str:
         parts.append(f'<text x="{gutter - 8}" y="{y + cell_h - 3}" '
                      f'text-anchor="end">e{e.epoch}</text>')
         hot = e.heat
-        for b in range(heat.nbuckets):
-            if hot[b] <= 0:
-                continue
-            lev = _oracle_level(int(hot[b]), peak)
-            lo, hi = heat.bucket_word_range(b)
-            tip = (f"epoch {e.epoch}, words [{lo},{hi}): "
-                   f"cpu r/w {int(e.counts[0, b])}/{int(e.counts[1, b])}, "
-                   f"gpu r/w {int(e.counts[2, b])}/{int(e.counts[3, b])}")
-            top = e.top_sites(1, b, b + 1)
+        cells = [(b, _oracle_level(int(hot[b]), peak))
+                 for b in range(heat.nbuckets) if hot[b] > 0]
+        runs: list[list[int]] = []  # [first bucket, stop bucket, level]
+        for b, lev in cells:
+            if runs and runs[-1][1] == b and runs[-1][2] == lev:
+                runs[-1][1] = b + 1
+            else:
+                runs.append([b, b + 1, lev])
+        if cells:
+            row_peak = max(hot[b] for b, _ in cells)
+            hb = min(b for b, _ in cells if hot[b] == row_peak)
+            lo, hi = heat.bucket_word_range(hb)
+            tip = (f"epoch {e.epoch}: {len(cells)} of {heat.nbuckets} "
+                   f"buckets heated; hottest bucket {hb}, words [{lo},{hi}): "
+                   f"cpu r/w {int(e.counts[0, hb])}/{int(e.counts[1, hb])}, "
+                   f"gpu r/w {int(e.counts[2, hb])}/{int(e.counts[3, hb])}")
+            top = e.top_sites(1, hb, hb + 1)
             if top:
                 tip += f" — top site {top[0][0].label}"
-            parts.append(
-                f'<rect x="{gutter + b * step_x}" y="{y}" width="{cell_w}" '
-                f'height="{cell_h}" rx="2" fill="var(--h{lev})">'
-                f'<title>{esc(tip)}</title></rect>')
+            parts.append(f"<g><title>{esc(tip)}</title>")
+            parts.extend(
+                f'<rect x="{gutter + b0 * step_x}" y="{y}" '
+                f'width="{(b1 - b0) * step_x - gap}" height="{cell_h}" '
+                f'rx="2" fill="var(--h{lev})"/>'
+                for b0, b1, lev in runs)
+            parts.append("</g>")
         for f in findings_index.get((heat.label, e.epoch), ()):
             color, icon, label = html.PATTERN_STYLE.get(
                 f.pattern.name, ("#fab219", "●", f.pattern.name))
@@ -219,6 +233,13 @@ def test_bucket_top_sites_edge_cases(hand_store):
 
 
 def test_escaped_labels_render_once_escaped(hand_store):
-    out = html._alloc_svg(hand_store.allocations()[0], {})
-    assert "top site &lt;dir&gt;/a&amp;b&quot;c&quot;.cu:7" in out
+    heat = hand_store.allocations()[0]
+    # Buckets 2 and 3 tie for hottest: the row summary names bucket 2,
+    # whose top site needs escaping.
+    heat.epochs.append(_epoch(3, [[0, 0, 4, 0], [0, 0, 0, 4], [0] * 4,
+                                  [0] * 4], [(_NASTY, [0, 0, 4, 0])]))
+    out = html._alloc_svg(heat, {})
+    assert ("<g><title>epoch 3: 2 of 4 buckets heated; hottest bucket 2, "
+            "words [5,7): cpu r/w 4/0, gpu r/w 0/0 — top site "
+            "&lt;dir&gt;/a&amp;b&quot;c&quot;.cu:7") in out
     assert _NASTY.label not in out

@@ -56,6 +56,21 @@ class TestAccessMap:
         with pytest.raises(ValueError):
             make_map([1]).as_grid(0)
 
+    def test_equality_compares_name_category_and_mask(self):
+        m = make_map([1, 0, 1])
+        assert m == make_map([1, 0, 1])
+        assert not m != make_map([1, 0, 1])
+        assert m != make_map([1, 1, 1])
+        assert m != make_map([1, 0])  # different length: unequal, no raise
+        assert m != make_map([1, 0, 1], name="other")
+        assert m != make_map([1, 0, 1], cat="gpu_read")
+        assert m != "m"
+        assert m in [make_map([0]), make_map([1, 0, 1])]
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(make_map([1, 0]))
+
 
 class TestOverlap:
     def test_intersection(self):
