@@ -6,7 +6,7 @@ Layers (each usable on its own):
   per source site / allocation / kernel / anti-pattern category, and the
   critical path through causally linked driver events.
 * :mod:`~repro.causes.capture` -- run workloads with provenance enabled
-  (:func:`run_with_causes`, :func:`causal_capture`) and read captures
+  (:func:`run_with_causes`) and read captures
   back (:func:`load_report`), rejecting incompatible schema versions.
 * :mod:`~repro.causes.diff` -- :func:`diff_reports`: align two runs and
   report improvements/regressions per key with threshold flags.
@@ -17,7 +17,6 @@ Layers (each usable on its own):
 from .capture import (
     IncompatibleCaptureError,
     build_report,
-    causal_capture,
     load_report,
     run_with_causes,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "DIFF_VERSION",
     "IncompatibleCaptureError",
     "build_report",
-    "causal_capture",
     "load_report",
     "run_with_causes",
     "diff_reports",

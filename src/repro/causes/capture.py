@@ -1,11 +1,11 @@
 """Causal run capture: execute a workload with provenance tracking on.
 
-The capture layer composes the pieces built elsewhere: it switches the
-UM driver into ``track_causes`` mode, attaches a
-:class:`~repro.telemetry.recorder.TelemetryRecorder` (so the run also
-produces the standard timeline / JSONL / metrics artifacts, now with
-cause links and flow arrows), executes the workload, and distils the
-event stream into a :class:`~repro.causes.graph.CausalGraph` report.
+:func:`run_with_causes` runs a workload through the one run path with
+the UM driver in ``track_causes`` mode and a
+:class:`~repro.telemetry.recorder.TelemetryRecorder` attached (so the
+run also produces the standard timeline / JSONL / metrics artifacts, now
+with cause links and flow arrows), then distils the event stream into a
+:class:`~repro.causes.graph.CausalGraph` report.
 
 ``load_report`` is the reading counterpart used by ``repro-why diff``:
 it rebuilds a report from a run directory's ``events.jsonl``, rejecting
@@ -14,85 +14,44 @@ captures whose schema version this reader does not understand.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
-from ..analysis import diagnose
-from ..memsim import Platform
-from ..telemetry import context as telemetry_context
-from ..telemetry.events_jsonl import SCHEMA_VERSION, JsonlWriter, read_jsonl
-from ..telemetry.recorder import TelemetryRecorder
-from ..workloads.base import make_session
+from ..telemetry.events_jsonl import SCHEMA_VERSION, read_jsonl
 
 from .graph import CausalGraph
 
-__all__ = ["causal_capture", "run_with_causes", "load_report",
-           "IncompatibleCaptureError"]
+__all__ = ["run_with_causes", "load_report", "IncompatibleCaptureError"]
 
 
 class IncompatibleCaptureError(RuntimeError):
     """A capture's schema version cannot be read by this build."""
 
 
-@contextmanager
-def causal_capture(platform: Platform, *, sites: bool = True) -> Iterator[Platform]:
-    """Enable causal provenance on ``platform`` for the block's duration.
-
-    :param sites: also walk the stack for triggering source sites (the
-        expensive-but-actionable half of the cause link).
-    """
-    um = platform.um
-    prev = (um.track_causes, um.blame_sites)
-    um.track_causes = True
-    um.blame_sites = sites
-    try:
-        yield platform
-    finally:
-        um.track_causes, um.blame_sites = prev
-
-
 def run_with_causes(workload: str, platform: str, out_dir: str | Path,
-                    *, materialize: bool = True, sites: bool = True,
-                    diagnose_run: bool = True) -> dict[str, Any]:
+                    *, materialize: bool = True,
+                    sites: bool = True) -> dict[str, Any]:
     """Run ``workload`` with causal tracking; write artifacts to ``out_dir``.
 
     Produces the full telemetry bundle (``events.jsonl`` with cause
     blocks, ``timeline.json`` with flow arrows, ``metrics.prom``) plus
-    ``causes.json``, the causal blame report.  Returns a dict with the
+    ``causes.json``, the causal blame report; ``sites=False`` skips the
+    stack walk for triggering source sites.  Returns a dict with the
     artifact ``paths``, the ``report`` and the workload ``run``.
     """
-    from ..workloads.registry import resolve_platform, resolve_workload
+    from ..workloads.run import RunSpec, execute
 
-    preset = resolve_platform(platform)
-    runner = resolve_workload(workload)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    recorder = TelemetryRecorder(jsonl=JsonlWriter(out / "events.jsonl"))
-    recorder.workload = workload
-    recorder.config = {"platform": preset, "materialize": materialize,
-                       "track_causes": True, "blame_sites": sites}
-    telemetry_context.install(recorder, track_causes=True)
-    try:
-        session = make_session(preset, trace=True, materialize=materialize)
-        session.platform.um.blame_sites = sites
-        run = runner(session)
-        if diagnose_run and session.tracer is not None:
-            recorder.record_diagnosis(
-                diagnose(session.tracer, include_unnamed=True))
-        recorder.detach()
-    finally:
-        telemetry_context.uninstall()
-    paths = recorder.flush(out)
-
+    done = execute(RunSpec(workload, platform, out_dir,
+                           materialize=materialize, why=True, sites=sites))
+    out, paths = Path(out_dir), done.paths
     # Build the report from the stream just written: one code path no
     # matter whether the events come from a live log or a saved capture.
-    report = build_report(out, workload=workload, platform=preset)
+    report = build_report(out, workload=workload,
+                          platform=done.session.platform.name)
     report_path = out / "causes.json"
     _write_json(report_path, report)
     paths["causes"] = report_path
-    return {"paths": paths, "report": report, "run": run}
+    return {"paths": paths, "report": report, "run": done.run}
 
 
 def build_report(run_dir: str | Path, *, workload: str = "",

@@ -19,6 +19,8 @@ import json
 import sys
 from pathlib import Path
 
+from ..workloads.registry import add_run_arguments, run_command
+
 from .capture import IncompatibleCaptureError, load_report, run_with_causes
 from .diff import diff_reports
 from .render import render_diff, render_report
@@ -26,23 +28,10 @@ from .render import render_diff, render_report
 __all__ = ["main"]
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from ..workloads.registry import UnknownNameError, listing
-
-    if args.list:
-        print(listing(), end="")
-        return 0
-    if args.out is None:
-        print("repro-why run: --out is required (unless --list)",
-              file=sys.stderr)
-        return 2
-    try:
-        result = run_with_causes(args.workload, args.platform, args.out,
-                                 materialize=not args.footprint,
-                                 sites=not args.no_sites)
-    except UnknownNameError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+def _cmd_run(args: argparse.Namespace) -> None:
+    result = run_with_causes(args.workload, args.platform, args.out,
+                             materialize=not args.footprint,
+                             sites=not args.no_sites)
     if args.json:
         print(json.dumps(result["report"], indent=2))
     else:
@@ -50,7 +39,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("artifacts:")
         for name, path in sorted(result["paths"].items()):
             print(f"  {name:9s} {path}")
-    return 0
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -84,23 +72,16 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command")
 
     run = sub.add_parser("run", help="replay a workload with causal tracking")
-    run.add_argument("--workload", default="sw",
-                     help="workload to replay (default: sw)")
-    run.add_argument("--platform", default="pcie",
-                     help="platform preset or alias (default: pcie)")
-    run.add_argument("--out", metavar="DIR",
-                     help="run directory for the capture artifacts")
-    run.add_argument("--footprint", action="store_true",
-                     help="footprint-only allocations (no numpy backing)")
+    add_run_arguments(run, workload="sw",
+                      out="run directory for the capture artifacts",
+                      list_extra=())
     run.add_argument("--no-sites", action="store_true",
                      help="skip source-site stack walking (cheaper capture)")
     run.add_argument("--json", action="store_true",
                      help="print the causes report as JSON instead of text")
     run.add_argument("--limit", type=int, default=10,
                      help="rows per blame table in text output")
-    run.add_argument("--list", action="store_true",
-                     help="list workloads and platforms, then exit")
-    run.set_defaults(func=_cmd_run)
+    run.set_defaults(func=lambda args: run_command(args, _cmd_run))
 
     diff = sub.add_parser("diff", help="compare two captured runs (A vs B)")
     diff.add_argument("run_a", help="baseline run directory")

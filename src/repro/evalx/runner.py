@@ -114,6 +114,8 @@ def main(argv: list[str] | None = None) -> int:
                              "per-thread codegen, then interp; Session "
                              "workloads run native Python regardless")
     args = parser.parse_args(argv)
+    if args.report and args.telemetry_dir is None:
+        parser.error("--report requires --telemetry-dir")
 
     if args.list:
         for name, fn in EXPERIMENTS.items():
@@ -145,8 +147,6 @@ def _run(args: argparse.Namespace, ids: list[str]) -> int:
         csv_dir.mkdir(parents=True, exist_ok=True)
 
     telemetry_dir = Path(args.telemetry_dir) if args.telemetry_dir else None
-    if args.report and telemetry_dir is None:
-        parser.error("--report requires --telemetry-dir")
 
     for name in ids:
         kwargs = {"quick": True} if (args.quick and name == "tab3") else {}

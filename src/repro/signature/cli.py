@@ -33,21 +33,13 @@ def compute_signature(workload: str, platform: str, *, buckets: int = 64,
                       phase_threshold: float = DEFAULT_THRESHOLD
                       ) -> RunSignature:
     """Replay ``workload`` with heat recording and sign the run."""
-    from ..analysis import diagnose
-    from ..heatmap.store import HeatStore
-    from ..workloads.base import make_session
-    from ..workloads.registry import resolve_platform, resolve_workload
+    from ..workloads.run import RunSpec, execute
     from .vector import signature_from_store
 
-    preset = resolve_platform(platform)
-    runner = resolve_workload(workload)
-    session = make_session(preset, trace=True, materialize=True)
-    heat = HeatStore(nbuckets=buckets, attribute=False)
-    session.tracer.heat = heat
-    runner(session, per_iteration=True)
-    diagnose(session.tracer, include_unnamed=True)
-    heat.flush_current()
-    return signature_from_store(heat, workload=workload, platform=preset,
+    done = execute(RunSpec(workload, platform, buckets=buckets,
+                           attribute=False))
+    return signature_from_store(done.store, workload=workload,
+                                platform=done.session.platform.name,
                                 phase_threshold=phase_threshold)
 
 
@@ -97,19 +89,13 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         sig = signature_from_npz(args.npz, workload=args.workload or "",
                                  platform=args.platform or "",
                                  phase_threshold=args.phase_threshold)
+    elif not args.workload:
+        print("compute needs --workload or --npz", file=sys.stderr)
+        return 2
     else:
-        if not args.workload:
-            print("compute needs --workload or --npz", file=sys.stderr)
-            return 2
-        from ..workloads.registry import UnknownNameError
-
-        try:
-            sig = compute_signature(args.workload, args.platform or "pcie",
-                                    buckets=args.buckets,
-                                    phase_threshold=args.phase_threshold)
-        except UnknownNameError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+        sig = compute_signature(args.workload, args.platform,
+                                buckets=args.buckets,
+                                phase_threshold=args.phase_threshold)
     out = Path(args.out)
     path = sig.save(out / "signature.json" if not out.suffix else out)
     if args.json:
@@ -167,6 +153,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro-sig`` / ``python -m repro.signature``."""
+    from ..workloads.registry import add_run_arguments, run_command
+
     parser = argparse.ArgumentParser(
         prog="repro-sig",
         description="Access-pattern signatures: compute fingerprints, "
@@ -175,18 +163,13 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("compute", help="sign a workload run (or an NPZ "
                                        "heat artifact)")
-    p.add_argument("--workload", help="workload to replay")
-    p.add_argument("--platform", default="pcie",
-                   help="platform preset or alias (default: pcie)")
+    add_run_arguments(p, workload=None, out_metavar="PATH",
+                      out="output directory (or .json path) for "
+                          "signature.json", footprint=False, buckets=True)
     p.add_argument("--npz", metavar="FILE",
                    help="rebuild the signature from a heat.npz artifact "
                         "instead of replaying (works on merged shard "
                         "bundles too)")
-    p.add_argument("--out", required=True, metavar="PATH",
-                   help="output directory (or .json path) for "
-                        "signature.json")
-    p.add_argument("--buckets", type=int, default=64,
-                   help="word buckets per allocation (default: 64)")
     p.add_argument("--phase-threshold", type=float,
                    default=DEFAULT_THRESHOLD,
                    help=f"phase change-point cosine distance "
@@ -194,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--json", action="store_true",
                    help="print the signature document instead of the "
                         "summary")
-    p.set_defaults(func=_cmd_compute)
+    p.set_defaults(func=lambda args: run_command(args, _cmd_compute))
 
     p = sub.add_parser("compare", help="similarity between two signatures")
     p.add_argument("a", help="signature.json (or directory holding one)")

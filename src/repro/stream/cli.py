@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .merge import merge_shards
 from .segments import IncompatibleStreamError, TruncatedSegmentError
@@ -34,19 +33,12 @@ from .shard import run_streaming, split_stream
 __all__ = ["main"]
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from ..workloads.registry import UnknownNameError
-
-    try:
-        result = run_streaming(
-            args.workload, args.platform, args.out, shard=args.shard,
-            buckets=args.buckets, materialize=not args.footprint,
-            why=not args.no_why,
-            log_capacity=args.log_capacity,
-            watermark_events=args.watermark)
-    except UnknownNameError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+def _cmd_run(args: argparse.Namespace) -> None:
+    result = run_streaming(
+        args.workload, args.platform, args.out, shard=args.shard,
+        buckets=args.buckets, materialize=not args.footprint,
+        why=not args.no_why, log_capacity=args.log_capacity,
+        watermark_events=args.watermark)
     manifest = result["manifest"]
     rollup = manifest.get("rollup", {})
     print(f"{args.workload} on {manifest.get('platform')}: "
@@ -54,7 +46,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"{rollup.get('events_spilled', 0)} event(s) spilled, "
           f"{rollup.get('heat_epochs_spilled', 0)} heat epoch(s), "
           f"sim time {result['sim_time']:.4g}s -> {args.out}")
-    return 0
 
 
 #: Bad-input errors ``split`` and ``merge`` report as one ``error:`` line;
@@ -104,6 +95,9 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro-agg`` / ``python -m repro.stream``."""
+    from ..workloads.registry import (add_run_arguments, positive_int,
+                                      run_command)
+
     parser = argparse.ArgumentParser(
         prog="repro-agg",
         description="Streaming observability: run shards with spill-to-"
@@ -113,27 +107,18 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser(
         "run", help="run one workload in streaming (spill) mode")
-    p_run.add_argument("--workload", default="pathfinder",
-                       help="workload to replay (default: pathfinder)")
-    p_run.add_argument("--platform", default="pcie",
-                       help="platform preset or alias (default: pcie)")
-    p_run.add_argument("--out", required=True, metavar="DIR",
-                       help="stream directory to write")
+    add_run_arguments(p_run, out="stream directory to write", buckets=True)
     p_run.add_argument("--shard", default="shard-0",
                        help="shard identity (default: shard-0)")
-    p_run.add_argument("--buckets", type=int, default=64,
-                       help="word buckets per allocation (default: 64)")
-    p_run.add_argument("--log-capacity", type=int, default=512,
+    p_run.add_argument("--log-capacity", type=positive_int, default=512,
                        help="event-log ring size before evict-to-disk "
                             "(default: 512)")
-    p_run.add_argument("--watermark", type=int, default=16384,
+    p_run.add_argument("--watermark", type=positive_int, default=16384,
                        help="buffered events forcing an early segment "
                             "flush (default: 16384)")
-    p_run.add_argument("--footprint", action="store_true",
-                       help="footprint-only allocations (no numpy backing)")
     p_run.add_argument("--no-why", action="store_true",
                        help="skip causal provenance on driver events")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=lambda args: run_command(args, _cmd_run))
 
     p_split = sub.add_parser(
         "split", help="split a finished stream into K round-robin shards")

@@ -22,7 +22,6 @@ from typing import Any, Mapping
 
 from .segments import (SegmentWriter, TruncatedSegmentError, load_manifest,
                        read_segment, shard_frames)
-from .spill import SpillingHeatStore, StreamSpiller
 
 __all__ = ["run_streaming", "split_stream"]
 
@@ -38,22 +37,21 @@ def run_streaming(
     *,
     shard: str = "shard-0",
     buckets: int = 64,
-    attribute: bool = True,
     materialize: bool = True,
     why: bool = True,
-    phases: bool = True,
     log_capacity: int = 512,
     watermark_events: int = 16384,
 ) -> dict[str, Any]:
     """Run ``workload`` in streaming mode, writing one shard directory.
 
+    Access-pattern phases are tracked live: ``phase_begin``/``phase_end``
+    events land in the stream and the manifest rollup carries the current
+    phase for ``repro-top``.
+
     :param shard: shard identity (must be unique across the directories
         that will later be merged together).
     :param why: record causal provenance so the merged run can feed
         ``repro-why`` (cause blocks on every driver event).
-    :param phases: track access-pattern phases live and mark
-        ``phase_begin``/``phase_end`` events in the stream (the manifest
-        rollup carries the current phase for ``repro-top``).
     :param log_capacity: event-log ring size; evictions beyond it spill
         to disk (this is the memory watermark on the event side).
     :param watermark_events: spilled events that force a segment flush
@@ -62,43 +60,14 @@ def run_streaming(
     Returns ``{"manifest": final stream manifest, "run": WorkloadRun,
     "sim_time": float}``.
     """
-    from ..workloads.base import make_session
-    from ..workloads.registry import resolve_platform, resolve_workload
+    from ..workloads.run import RunSpec, execute
 
-    preset = resolve_platform(platform)
-    runner = resolve_workload(workload)
-
-    heat = SpillingHeatStore(nbuckets=buckets, attribute=attribute)
-    spiller = StreamSpiller(
-        out_dir, shard=shard, workload=workload, platform=preset,
-        config={"buckets": buckets, "materialize": materialize,
-                "causes": why, "log_capacity": log_capacity},
-        watermark_events=watermark_events)
-    session = make_session(preset, trace=True, materialize=materialize)
-    if why:
-        session.platform.um.track_causes = True
-    session.platform.events.configure_retention(capacity=log_capacity,
-                                                ring=True)
-    tracker = None
-    if phases:
-        from ..signature.tracker import PhaseTracker
-
-        # Attached before the spiller so each epoch's phase marker is
-        # recorded before the spiller flushes that epoch's segment.
-        tracker = PhaseTracker(
-            log=session.platform.events,
-            clock=lambda: session.platform.clock.now,
-        ).attach(session.tracer, heat)
-    spiller.attach(session, heat=heat)
-    spiller.phase_source = tracker
-    try:
-        run = runner(session, per_iteration=True)
-    finally:
-        if tracker is not None:
-            tracker.finish()  # phase_end lands before the final drain
-        manifest = spiller.close()
-    return {"manifest": manifest, "run": run,
-            "sim_time": session.platform.clock.now}
+    done = execute(RunSpec(
+        workload, platform, out_dir, materialize=materialize, buckets=buckets,
+        why=why, shard=shard, log_capacity=log_capacity,
+        watermark_events=watermark_events))
+    return {"manifest": done.manifest, "run": done.run,
+            "sim_time": done.session.sim_time}
 
 
 def split_stream(src_dir: str | Path, out_base: str | Path,

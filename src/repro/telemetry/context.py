@@ -1,9 +1,10 @@
 """Process-wide active recorder (deliberately import-light).
 
 :func:`repro.workloads.base.make_session` consults this module so that a
-recorder installed by a CLI (``repro-trace``, ``xplacer-eval
---telemetry-dir``) is attached to every session the workloads create,
-without any workload knowing about telemetry.
+recorder installed by ``xplacer-eval --telemetry-dir`` is attached to
+every session the figure drivers create, without any workload knowing
+about telemetry.  The workload commands attach their observers through
+:func:`repro.workloads.run.execute` instead.
 """
 
 from __future__ import annotations
@@ -13,38 +14,24 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .recorder import TelemetryRecorder
 
-__all__ = ["install", "uninstall", "current_recorder", "causes_requested"]
+__all__ = ["install", "uninstall", "current_recorder"]
 
 _active: "TelemetryRecorder | None" = None
-_track_causes = False
 
 
-def install(recorder: "TelemetryRecorder", *,
-            track_causes: bool = False) -> "TelemetryRecorder":
-    """Make ``recorder`` the process-wide active recorder; returns it.
-
-    With ``track_causes`` every session auto-attached through this context
-    switches its UM driver into causal-provenance mode (see
-    :meth:`~repro.telemetry.recorder.TelemetryRecorder.attach`).
-    """
-    global _active, _track_causes
+def install(recorder: "TelemetryRecorder") -> "TelemetryRecorder":
+    """Make ``recorder`` the process-wide active recorder; returns it."""
+    global _active
     _active = recorder
-    _track_causes = track_causes
     return recorder
 
 
 def uninstall() -> None:
     """Clear the active recorder (sessions stop auto-attaching)."""
-    global _active, _track_causes
+    global _active
     _active = None
-    _track_causes = False
 
 
 def current_recorder() -> "TelemetryRecorder | None":
     """The active recorder, or ``None``."""
     return _active
-
-
-def causes_requested() -> bool:
-    """Whether auto-attached sessions should track causal provenance."""
-    return _track_causes

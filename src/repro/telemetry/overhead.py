@@ -67,8 +67,8 @@ def _recorded(runner: Runner, platform: str, *, track_causes: bool = False,
               sites: bool = True) -> None:
     session = _session(platform)
     recorder = TelemetryRecorder(jsonl=StringJsonl())
-    recorder.attach(session.runtime, session.tracer,
-                    track_causes=track_causes)
+    recorder.attach(session.runtime, session.tracer)
+    session.platform.um.track_causes = track_causes
     session.platform.um.blame_sites = sites
     try:
         runner(session)

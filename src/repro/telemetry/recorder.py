@@ -77,9 +77,6 @@ class _SessionHooks:
     #: Timeline anchor (time, track) of every drawn causal event, so later
     #: events can point flow arrows back at their parents.
     event_points: dict[int, tuple[float, int]] = field(default_factory=dict)
-    #: Driver ``track_causes`` value before attach (restored on detach).
-    prev_track_causes: bool = False
-    causes_installed: bool = False
     #: Whether the tracer's backend attribution was already written to the
     #: JSONL stream (finalisation runs at both detach and flush).
     backend_recorded: bool = False
@@ -164,25 +161,19 @@ class TelemetryRecorder(ObserverBase):
     # wiring
 
     def attach(self, runtime: "CudaRuntime", tracer: "Tracer | None" = None,
-               *, label: str = "", track_causes: bool = False) -> "TelemetryRecorder":
+               *, label: str = "") -> "TelemetryRecorder":
         """Wire this recorder into ``runtime`` (and optionally ``tracer``).
 
         Subscribes as a runtime observer, adds an event-log listener, and
-        installs the UM driver metrics hook.  With ``track_causes`` the UM
-        driver is switched into causal-provenance mode for the duration of
-        the attachment: events carry cause links, the JSONL stream gains
-        ``cause`` blocks, and the timeline gains flow arrows from
-        triggering kernels / upstream events to the work they caused.
-        Returns self.
+        installs the UM driver metrics hook.  While the UM driver tracks
+        causes (``um.track_causes``), the JSONL stream gains ``cause``
+        blocks and the timeline gains flow arrows from triggering kernels
+        / upstream events to the work they caused.  Returns self.
         """
         platform = runtime.platform
         pid = len(self._sessions) + 1
         hooks = _SessionHooks(runtime=runtime, platform=platform, pid=pid,
                               listener=None, tracer=tracer)
-        if track_causes:
-            hooks.prev_track_causes = platform.um.track_causes
-            hooks.causes_installed = True
-            platform.um.track_causes = True
 
         def listener(event: Event, _hooks=hooks) -> None:
             self._on_driver_event(_hooks, event)
@@ -241,9 +232,6 @@ class TelemetryRecorder(ObserverBase):
                 if hooks.tracer.heat is self.heat:
                     hooks.tracer.heat = hooks.prev_heat
                 hooks.heat_installed = False
-            if hooks.causes_installed:
-                hooks.platform.um.track_causes = hooks.prev_track_causes
-                hooks.causes_installed = False
             if self._active is hooks:
                 self._active = None
         self._sessions = remaining

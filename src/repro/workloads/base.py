@@ -84,6 +84,5 @@ def make_session(
     tracer = Tracer().attach(runtime) if trace else None
     recorder = telemetry_context.current_recorder()
     if recorder is not None:
-        recorder.attach(runtime, tracer,
-                        track_causes=telemetry_context.causes_requested())
+        recorder.attach(runtime, tracer)
     return Session(platform=plat, runtime=runtime, tracer=tracer)

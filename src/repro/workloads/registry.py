@@ -8,12 +8,16 @@ bad name gets one error message everywhere::
     runner = resolve_workload("sw")
     run = runner(make_session(resolve_platform("pcie")), per_iteration=True)
 
-Runners import their workload lazily, so importing this module costs no
-more than importing the package.
+Those commands also share their common arguments and their handling
+(:func:`add_run_arguments`, :func:`run_command`).  Runners import their
+workload lazily, so importing this module costs no more than importing
+the package.
 """
 
 from __future__ import annotations
 
+import argparse
+import sys
 from typing import Callable, Iterable
 
 from ..memsim import PLATFORMS
@@ -21,7 +25,7 @@ from .base import Session, WorkloadRun
 
 __all__ = ["PLATFORM_ALIASES", "WORKLOADS", "PER_ITERATION", "Runner",
            "UnknownNameError", "resolve_platform", "resolve_workload",
-           "listing"]
+           "listing", "positive_int", "add_run_arguments", "run_command"]
 
 #: Friendly platform spellings accepted by ``--platform``, plus every
 #: preset under its own name.
@@ -168,3 +172,74 @@ def listing(*extra: tuple[str, Iterable[str]]) -> str:
     lines = [("workloads", sorted(WORKLOADS)), *extra,
              ("platforms", platforms)]
     return "".join(f"{label}: {', '.join(names)}\n" for label, names in lines)
+
+
+def positive_int(text: str) -> int:
+    """``argparse`` type for counts and sizes: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive integer")
+    return value
+
+
+def add_run_arguments(parser: argparse.ArgumentParser, *,
+                      workload: str | None = "pathfinder",
+                      out: str = "run directory for the artifacts",
+                      out_metavar: str = "DIR", footprint: bool = True,
+                      buckets: bool = False,
+                      list_extra: tuple[tuple[str, Iterable[str]], ...]
+                      | None = None) -> None:
+    """Add the arguments every workload-running command shares.
+
+    ``--workload``, ``--platform`` and ``--out``; ``--footprint`` and
+    ``--buckets`` when asked for.  With ``list_extra`` (the extra
+    ``--list`` lines) the command also takes ``--list`` and ``--out`` is
+    required only without it; :func:`run_command` does both checks.
+    """
+    parser.add_argument("--workload", default=workload,
+                        help="workload to replay"
+                        + (f" (default: {workload})" if workload else ""))
+    parser.add_argument("--platform", default="pcie",
+                        help="platform preset or alias (default: pcie): "
+                             + ", ".join(sorted(PLATFORM_ALIASES)))
+    parser.add_argument("--out", metavar=out_metavar,
+                        required=list_extra is None,
+                        help=out if list_extra is None
+                        else f"{out} (required unless --list)")
+    if footprint:
+        parser.add_argument("--footprint", action="store_true",
+                            help="footprint-only allocations (no numpy "
+                                 "backing)")
+    if buckets:
+        parser.add_argument("--buckets", type=positive_int, default=64,
+                            help="word buckets per allocation (default: 64)")
+    if list_extra is not None:
+        parser.add_argument("--list", action="store_true",
+                            help="list workloads and platform aliases, "
+                                 "then exit")
+    parser.set_defaults(run_parser=parser, list_extra=list_extra)
+
+
+def run_command(args: argparse.Namespace,
+                command: Callable[[argparse.Namespace], int | None]) -> int:
+    """Run ``command(args)`` for a parser set up by
+    :func:`add_run_arguments`; returns the exit status.
+
+    ``--list`` prints the listing instead; a missing ``--out`` is an
+    argparse error; a bad workload or platform name prints the
+    registry's message and exits 2.
+    """
+    if getattr(args, "list", False):
+        print(listing(*args.list_extra), end="")
+        return 0
+    if args.out is None:
+        args.run_parser.error("--out is required (unless --list)")
+    try:
+        return command(args) or 0
+    except UnknownNameError as exc:
+        print(exc, file=sys.stderr)
+        return 2

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.causes.cli import main
 
 
@@ -27,7 +29,10 @@ class TestRun:
         assert not (tmp_path / "o").exists()
 
     def test_out_is_required(self, capsys):
-        assert main(["run"]) == 2
+        with pytest.raises(SystemExit) as info:
+            main(["run"])
+        assert info.value.code == 2
+        assert "--out is required" in capsys.readouterr().err
 
     def test_list_exits_0(self, capsys):
         assert main(["run", "--list"]) == 0

@@ -69,6 +69,14 @@ class TestCli:
         assert main(["fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    def test_report_without_telemetry_dir_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--report", "fig4"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--report requires --telemetry-dir" in err
+        assert "Traceback" not in err
+
     def test_runs_named_experiment(self, capsys):
         assert main(["fig7"]) == 0
         out = capsys.readouterr().out

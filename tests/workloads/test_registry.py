@@ -88,6 +88,28 @@ def test_bad_name_is_a_located_error(command, bad, tmp_path):
     done = _cli(module, [*sub, "--workload", names["workload"],
                          "--platform", names["platform"], "--out", str(out)])
     assert done.returncode == 2
-    assert "no-such-name" in done.stderr
+    assert done.stderr.startswith(f"unknown {bad} 'no-such-name'; known: ")
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+#: (command, flag) for every count flag a workload-running CLI takes.
+COUNT_FLAGS = [("repro-report", "--buckets"),
+               ("repro-sig compute", "--buckets"),
+               ("repro-agg run", "--buckets"),
+               ("repro-agg run", "--log-capacity"),
+               ("repro-agg run", "--watermark")]
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "many"])
+@pytest.mark.parametrize("command, flag", COUNT_FLAGS)
+def test_counts_must_be_positive(command, flag, value, tmp_path):
+    module, sub = COMMANDS[command]
+    out = tmp_path / "out"
+    done = _cli(module, [*sub, "--workload", "pathfinder", flag, value,
+                         "--out", str(out)])
+    assert done.returncode == 2
+    assert f"argument {flag}: '{value}' is not a positive integer" \
+        in done.stderr
     assert "Traceback" not in done.stderr
     assert not out.exists()
