@@ -9,20 +9,13 @@ interpreter remains the differential oracle every compiled backend must
 byte-match.
 """
 
-from .backend import (
-    BACKENDS,
-    default_backend,
-    run_compiled,
-    set_default_backend,
-)
+from .backend import BACKENDS, run_compiled
 from .emitter import CodegenBail, compile_scalar, kernel_digest
 
 __all__ = [
     "BACKENDS",
     "CodegenBail",
     "compile_scalar",
-    "default_backend",
     "kernel_digest",
     "run_compiled",
-    "set_default_backend",
 ]

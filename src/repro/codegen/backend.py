@@ -60,31 +60,13 @@ from .vectorize import compile_vec
 __all__ = [
     "BACKENDS",
     "bind_host",
-    "default_backend",
     "host_error_line",
     "run_compiled",
-    "set_default_backend",
 ]
 
 #: Selectable backends (``auto`` = vectorize when provable, else
 #: codegen, else interp).
 BACKENDS = ("auto", "interp", "codegen", "codegen-vec")
-
-_DEFAULT = "interp"
-
-
-def default_backend() -> str:
-    """The library-wide default backend for new interpreters."""
-    return _DEFAULT
-
-
-def set_default_backend(name: str) -> None:
-    """Set the default backend (CLIs pass their ``--backend`` here)."""
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; choose from {', '.join(BACKENDS)}")
-    global _DEFAULT
-    _DEFAULT = name
 
 
 # --------------------------------------------------------------------- #

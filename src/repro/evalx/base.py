@@ -4,12 +4,16 @@ Every paper artifact (figure or table) has one experiment function that
 regenerates it.  Experiments return an :class:`ExperimentResult` holding
 both machine-readable rows and the formatted text the CLI prints; the
 ``benchmarks/`` suite wraps the same functions in pytest-benchmark cases.
+Every session an experiment opens comes from the ``make_session`` factory
+it is handed, so a caller that observes runs passes its own factory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable
+
+from ..workloads.base import Session, make_session
 
 __all__ = ["ExperimentResult", "EXPERIMENTS", "experiment"]
 
@@ -33,11 +37,18 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {}
 
 
 def experiment(name: str, title: str):
-    """Register an experiment function under ``name``."""
+    """Register an experiment function under ``name``.
+
+    The registered callable hands ``fn`` a fresh result and the session
+    factory as ``make_session`` (default:
+    :func:`~repro.workloads.base.make_session`).
+    """
 
     def wrap(fn):
-        def run(**kwargs) -> ExperimentResult:
-            return fn(ExperimentResult(name=name, title=title), **kwargs)
+        def run(*, make_session: Callable[..., Session] = make_session,
+                **kwargs) -> ExperimentResult:
+            return fn(ExperimentResult(name=name, title=title),
+                      make_session=make_session, **kwargs)
 
         run.__name__ = fn.__name__
         run.__doc__ = fn.__doc__

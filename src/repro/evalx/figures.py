@@ -8,7 +8,6 @@ import numpy as np
 
 from ..memsim import PLATFORMS
 from ..runtime import AccessMap, format_text, overlap
-from ..workloads.base import make_session
 from ..workloads.lulesh import VARIANTS, Lulesh
 from ..workloads.rodinia import OverlappedPathfinder, Pathfinder
 from ..workloads.smithwaterman import RotatedSmithWaterman, SmithWaterman
@@ -31,7 +30,8 @@ def sw_scaled(scale: int) -> tuple[tuple[int, ...], int]:
 
 
 @experiment("fig4", "LULESH 2: partial XPlacer output after the second iteration")
-def fig4(result: ExperimentResult, *, size: int = 8) -> ExperimentResult:
+def fig4(result: ExperimentResult, *, make_session,
+         size: int = 8) -> ExperimentResult:
     """Diagnostic table for ``dom`` and ``(dom)->m_p``, Fig 4 layout."""
     session = make_session("intel-pascal", trace=True, materialize=True)
     app = Lulesh(session, size, diagnose_each_step=True)
@@ -56,7 +56,8 @@ def fig4(result: ExperimentResult, *, size: int = 8) -> ExperimentResult:
 
 
 @experiment("fig5", "LULESH 2: access maps of the domain object")
-def fig5(result: ExperimentResult, *, size: int = 8, width: int = 72) -> ExperimentResult:
+def fig5(result: ExperimentResult, *, make_session, size: int = 8,
+         width: int = 72) -> ExperimentResult:
     """Six maps: CPU writes/reads and GPU reads, init+iter1 vs iter2."""
     session = make_session("intel-pascal", trace=True, materialize=True)
     app = Lulesh(session, size, diagnose_each_step=True)
@@ -90,8 +91,8 @@ def fig5(result: ExperimentResult, *, size: int = 8, width: int = 72) -> Experim
 
 
 @experiment("fig6", "LULESH 2: speedup over the baseline (3 platforms x 4 remedies)")
-def fig6(result: ExperimentResult, *, sizes=(8, 16, 32, 48),
-         iterations: int = 16) -> ExperimentResult:
+def fig6(result: ExperimentResult, *, make_session,
+         sizes=(8, 16, 32, 48), iterations: int = 16) -> ExperimentResult:
     """Remedy speedups per platform and problem size."""
     out = io.StringIO()
     out.write(f"{'platform':14s}{'size':>5s}{'baseline':>11s}"
@@ -115,7 +116,7 @@ def fig6(result: ExperimentResult, *, sizes=(8, 16, 32, 48),
 
 
 @experiment("fig7", "Smith-Waterman 20x10: H initialization vs actually-used boundary")
-def fig7(result: ExperimentResult) -> ExperimentResult:
+def fig7(result: ExperimentResult, *, make_session) -> ExperimentResult:
     """CPU writes the whole matrix; only boundary zeroes are ever read."""
     from ..analysis import diagnose
     session = make_session("intel-pascal", trace=True, materialize=True)
@@ -143,7 +144,7 @@ def fig7(result: ExperimentResult) -> ExperimentResult:
 
 
 @experiment("fig8", "Smith-Waterman 20x10: GPU accesses to H in iteration 8")
-def fig8(result: ExperimentResult) -> ExperimentResult:
+def fig8(result: ExperimentResult, *, make_session) -> ExperimentResult:
     """GPU writes diag 8; reads GPU values of diags 6 and 7."""
     session = make_session("intel-pascal", trace=True, materialize=True)
     sw = SmithWaterman(session, 20, 10, diagnose_each_iteration=True)
@@ -168,7 +169,8 @@ def fig8(result: ExperimentResult) -> ExperimentResult:
 
 
 @experiment("fig9", "Smith-Waterman: speedup of the rotated version")
-def fig9(result: ExperimentResult, *, scale: int = 10) -> ExperimentResult:
+def fig9(result: ExperimentResult, *, make_session,
+         scale: int = 10) -> ExperimentResult:
     """Rotated-vs-baseline across sizes, including the oversubscribed one.
 
     Sizes are the paper's 5000/25000/45000/46000 scaled by ``1/scale``,
@@ -206,8 +208,9 @@ def fig9(result: ExperimentResult, *, scale: int = 10) -> ExperimentResult:
 
 
 @experiment("fig10", "Pathfinder: gpuWall access maps")
-def fig10(result: ExperimentResult, *, cols: int = 2048, rows: int = 26,
-          pyramid_height: int = 5, width: int = 64) -> ExperimentResult:
+def fig10(result: ExperimentResult, *, make_session, cols: int = 2048,
+          rows: int = 26, pyramid_height: int = 5,
+          width: int = 64) -> ExperimentResult:
     """Copied-in wall; iterations 1, 2 and 5 read one fifth each."""
     session = make_session("intel-pascal", trace=True, materialize=True)
     pf = Pathfinder(session, cols=cols, rows=rows,
@@ -235,7 +238,7 @@ def fig10(result: ExperimentResult, *, cols: int = 2048, rows: int = 26,
 
 
 @experiment("fig11", "Pathfinder: speedup of the overlapped-transfer version")
-def fig11(result: ExperimentResult, *, cols: int = 1_000_000,
+def fig11(result: ExperimentResult, *, make_session, cols: int = 1_000_000,
           rows=(200, 600, 1000), pyramid_height: int = 20) -> ExperimentResult:
     """Overlap wins on PCIe, loses on the Power9 node."""
     out = io.StringIO()

@@ -8,7 +8,6 @@ from unit stride through large strides to full indirection.
 
 from __future__ import annotations
 
-from ..workloads.base import make_session
 from ..workloads.spatter import (
     SpatterWorkload,
     indirection,
@@ -31,7 +30,7 @@ def _specs():
 
 
 @experiment("spatter", "Spatter gather/scatter pattern sweep")
-def spatter_sweep(result: ExperimentResult, *,
+def spatter_sweep(result: ExperimentResult, *, make_session,
                   platform: str = "intel-pascal") -> ExperimentResult:
     lines = [f"{'pattern':<14} {'n/kernel':>8} {'density':>8} "
              f"{'faults':>7} {'pages':>6} {'sim_time':>10}"]

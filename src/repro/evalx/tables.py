@@ -6,7 +6,6 @@ import io
 import time
 
 from ..analysis import AntiPattern, diagnose
-from ..workloads.base import make_session
 from ..workloads.lulesh import Lulesh
 from ..workloads.rodinia import Backprop, Cfd, Gaussian, Lud, NearestNeighbor, Pathfinder
 from ..workloads.smithwaterman import SmithWaterman
@@ -30,7 +29,7 @@ TABLE2_EXPECTED = {
 
 
 @experiment("tab2", "Findings in a subset of the Rodinia benchmarks")
-def tab2(result: ExperimentResult) -> ExperimentResult:
+def tab2(result: ExperimentResult, *, make_session) -> ExperimentResult:
     """Run the six Rodinia ports under XPlacer; list detector findings."""
     out = io.StringIO()
 
@@ -85,7 +84,7 @@ def tab2(result: ExperimentResult) -> ExperimentResult:
 
 
 #: Table III configurations: (label, runner) where runner(trace) -> None.
-def _tab3_cases(quick: bool):
+def _tab3_cases(quick: bool, make_session):
     lulesh_sizes = (8, 16) if quick else (8, 48, 96)
     sw_sizes = (200,) if quick else (1000, 2000)
     cases = []
@@ -115,7 +114,7 @@ def _tab3_cases(quick: bool):
 
 
 @experiment("tab3", "Runtime overhead of XPlacer instrumentation")
-def tab3(result: ExperimentResult, *, quick: bool = False,
+def tab3(result: ExperimentResult, *, make_session, quick: bool = False,
          repeats: int = 3) -> ExperimentResult:
     """Wall-clock ratio of traced vs untraced runs.
 
@@ -126,7 +125,7 @@ def tab3(result: ExperimentResult, *, quick: bool = False,
     """
     out = io.StringIO()
     out.write(f"{'benchmark':28s}{'plain':>10s}{'traced':>10s}{'overhead':>10s}\n")
-    for label, runner in _tab3_cases(quick):
+    for label, runner in _tab3_cases(quick, make_session):
         def best(trace: bool) -> float:
             times = []
             for _ in range(repeats):

@@ -122,8 +122,8 @@ class Interpreter:
     ) -> None:
         self.unit = unit
         self.source_name = source_name
-        from ..codegen.backend import BACKENDS, _tracer_eligible, default_backend
-        self.backend = backend or default_backend()
+        from ..codegen.backend import BACKENDS, _tracer_eligible
+        self.backend = backend or "interp"
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; "

@@ -20,7 +20,6 @@ observation layer costs (the shape of the paper's Table III), and
 any workload with telemetry on.
 """
 
-from .context import current_recorder, install, uninstall
 from .events_jsonl import (
     SCHEMA_VERSION,
     JsonlWriter,
@@ -31,11 +30,6 @@ from .events_jsonl import (
 )
 from .metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
 from .recorder import TelemetryRecorder
-
-# NOTE: repro.telemetry.cli and repro.telemetry.overhead import
-# repro.workloads.registry, whose package consults repro.telemetry.context;
-# overhead also imports the heatmap and signature layers it prices.  They
-# are intentionally NOT imported here -- import them as submodules.
 from .timeline import (
     TRACK_DRIVER,
     TRACK_GPU,
@@ -46,9 +40,6 @@ from .timeline import (
 )
 
 __all__ = [
-    "current_recorder",
-    "install",
-    "uninstall",
     "SCHEMA_VERSION",
     "JsonlWriter",
     "StringJsonl",

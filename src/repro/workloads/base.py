@@ -20,7 +20,6 @@ from ..analysis import Diagnosis
 from ..cudart import CudaRuntime
 from ..memsim import PLATFORMS, Platform
 from ..runtime import Tracer
-from ..telemetry import context as telemetry_context
 
 __all__ = ["Session", "WorkloadRun", "make_session"]
 
@@ -82,7 +81,4 @@ def make_session(
         plat = platform
     runtime = CudaRuntime(plat, materialize=materialize)
     tracer = Tracer().attach(runtime) if trace else None
-    recorder = telemetry_context.current_recorder()
-    if recorder is not None:
-        recorder.attach(runtime, tracer)
     return Session(platform=plat, runtime=runtime, tracer=tracer)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.codegen.backend import bind_host, set_default_backend
+from repro.codegen.backend import bind_host
 from repro.heatmap.store import HeatStore
 from repro.instrument import instrument, parse
 from repro.interp import InterpError
@@ -369,22 +369,6 @@ def test_hooks_keep_host_code_interpreted():
     interp.run("main")
     assert interp._host_bodies == {}
     assert 11 in hooks.lines  # the do-while in main
-
-
-def test_debugger_line_breakpoint_in_main_stops_under_auto():
-    from repro.debug import DebugEngine
-
-    set_default_backend("auto")
-    try:
-        engine = DebugEngine(CONTROL)
-    finally:
-        set_default_backend("interp")
-    assert engine.interp.backend == "auto"
-    stops = []
-    engine.on_pause = lambda eng, stop: stops.append(stop) or "continue"
-    engine.breakpoints.add_line(13)  # *p = 'A';
-    engine.run()
-    assert [s.line for s in stops] == [13]
 
 
 class _CountingTracer(Tracer):

@@ -9,7 +9,6 @@ from repro.cudart import CudaRuntime, cudaMemcpyKind
 from repro.memsim import PAGE_SIZE, intel_pascal
 from repro.runtime import Tracer
 from repro.telemetry import JsonlWriter, StringJsonl, TelemetryRecorder
-from repro.telemetry import context as telemetry_context
 from repro.workloads.base import make_session
 
 H2D = cudaMemcpyKind.cudaMemcpyHostToDevice
@@ -133,17 +132,18 @@ class TestLifecycle:
         rec.detach(rt1)
         assert rec.attached
 
-    def test_context_auto_attaches_via_make_session(self):
+    def test_recording_sessions_attach_the_recorder(self):
+        from repro.evalx.runner import recording_sessions
+
         rec = TelemetryRecorder()
-        telemetry_context.install(rec)
-        try:
-            session = make_session("intel-pascal", materialize=False)
-        finally:
-            telemetry_context.uninstall()
+        session = recording_sessions(rec)("intel-pascal", materialize=False)
         assert rec.attached
         assert rec in session.runtime.observers
+        assert session.tracer.epoch_hooks
+        plain = make_session("intel-pascal", materialize=False)
+        assert rec not in plain.runtime.observers
         rec.detach()
-        assert telemetry_context.current_recorder() is None
+        assert rec not in session.runtime.observers
 
 
 class TestFlush:
