@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from ..workloads.registry import add_run_arguments, run_command
+from ..workloads.registry import add_run_arguments, positive_int, run_command
 
 from .capture import IncompatibleCaptureError, load_report, run_with_causes
 from .diff import diff_reports
@@ -79,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
                      help="skip source-site stack walking (cheaper capture)")
     run.add_argument("--json", action="store_true",
                      help="print the causes report as JSON instead of text")
-    run.add_argument("--limit", type=int, default=10,
+    run.add_argument("--limit", type=positive_int, default=10,
                      help="rows per blame table in text output")
     run.set_defaults(func=lambda args: run_command(args, _cmd_run))
 
@@ -93,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
                       help="print the diff as JSON instead of text")
     diff.add_argument("--out", metavar="FILE",
                       help="also write the diff JSON to FILE")
-    diff.add_argument("--limit", type=int, default=10,
+    diff.add_argument("--limit", type=positive_int, default=10,
                       help="rows per section in text output")
     diff.add_argument("--fail-on-regression", action="store_true",
                       help="exit 1 when total cost regresses")

@@ -86,8 +86,10 @@ def _render_similarity(sim: dict) -> str:
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     if args.npz:
+        from ..workloads.registry import resolve_platform
+
         sig = signature_from_npz(args.npz, workload=args.workload or "",
-                                 platform=args.platform or "",
+                                 platform=resolve_platform(args.platform),
                                  phase_threshold=args.phase_threshold)
     elif not args.workload:
         print("compute needs --workload or --npz", file=sys.stderr)

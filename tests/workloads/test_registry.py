@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.heatmap.store import HeatStore
 from repro.memsim import PLATFORMS
 from repro.workloads.registry import (
     PLATFORM_ALIASES,
@@ -93,23 +94,54 @@ def test_bad_name_is_a_located_error(command, bad, tmp_path):
     assert not out.exists()
 
 
-#: (command, flag) for every count flag a workload-running CLI takes.
+#: (command, flag) for every count flag a command takes.
 COUNT_FLAGS = [("repro-report", "--buckets"),
                ("repro-sig compute", "--buckets"),
                ("repro-agg run", "--buckets"),
                ("repro-agg run", "--log-capacity"),
-               ("repro-agg run", "--watermark")]
+               ("repro-agg run", "--watermark"),
+               ("repro-why run", "--limit"),
+               ("repro-why diff", "--limit")]
+
+#: module and arguments (besides the bad flag and ``--out``) of each
+#: command in :data:`BAD_FLAGS`; ``{npz}`` is a valid ``heat.npz``.
+FLAG_COMMANDS = {
+    **{command: (module, [*sub, "--workload", "pathfinder"])
+       for command, (module, sub) in COMMANDS.items()},
+    "repro-why diff": ("repro.causes", ["diff", "run-a", "run-b"]),
+    "repro-sig compute --npz": ("repro.signature",
+                                ["compute", "--npz", "{npz}"]),
+}
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "many"])
-@pytest.mark.parametrize("command, flag", COUNT_FLAGS)
-def test_counts_must_be_positive(command, flag, value, tmp_path):
-    module, sub = COMMANDS[command]
+def _bad(command, flag, value, message):
+    return pytest.param(command, flag, value, message,
+                        id=f"{command}-{flag}-{value}")
+
+
+#: (command, flag, bad value, expected stderr) -- every one exits 2.
+BAD_FLAGS = [
+    *(_bad(command, flag, value,
+           f"argument {flag}: '{value}' is not a positive integer")
+      for command, flag in COUNT_FLAGS for value in ("0", "-3", "many")),
+    _bad("repro-sig compute --npz", "--platform", "no-such",
+         "unknown platform 'no-such'; known: "),
+]
+
+
+@pytest.fixture(scope="module")
+def heat_npz(tmp_path_factory):
+    return HeatStore().to_npz(tmp_path_factory.mktemp("npz") / "heat.npz")
+
+
+@pytest.mark.parametrize("command, flag, value, message", BAD_FLAGS)
+def test_counts_must_be_positive(command, flag, value, message, heat_npz,
+                                 tmp_path):
+    module, argv = FLAG_COMMANDS[command]
     out = tmp_path / "out"
-    done = _cli(module, [*sub, "--workload", "pathfinder", flag, value,
-                         "--out", str(out)])
+    done = _cli(module, [*(a.format(npz=heat_npz) for a in argv),
+                         flag, value, "--out", str(out)])
     assert done.returncode == 2
-    assert f"argument {flag}: '{value}' is not a positive integer" \
-        in done.stderr
+    assert message in done.stderr
     assert "Traceback" not in done.stderr
     assert not out.exists()
