@@ -10,10 +10,13 @@ with cause links and flow arrows), then distils the event stream into a
 ``load_report`` is the reading counterpart used by ``repro-why diff``:
 it rebuilds a report from a run directory's ``events.jsonl``, rejecting
 captures whose schema version this reader does not understand.
+:func:`write_causes` is the one writer of ``causes.json``, for
+``repro-why``, ``repro-report --why`` and merged streams alike.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Any
 
@@ -21,7 +24,8 @@ from ..telemetry.events_jsonl import SCHEMA_VERSION, read_jsonl
 
 from .graph import CausalGraph
 
-__all__ = ["run_with_causes", "load_report", "IncompatibleCaptureError"]
+__all__ = ["run_with_causes", "load_report", "write_causes",
+           "IncompatibleCaptureError"]
 
 
 class IncompatibleCaptureError(RuntimeError):
@@ -48,9 +52,7 @@ def run_with_causes(workload: str, platform: str, out_dir: str | Path,
     # matter whether the events come from a live log or a saved capture.
     report = build_report(out, workload=workload,
                           platform=done.session.platform.name)
-    report_path = out / "causes.json"
-    _write_json(report_path, report)
-    paths["causes"] = report_path
+    paths["causes"] = write_causes(out, report)
     return {"paths": paths, "report": report, "run": done.run}
 
 
@@ -71,7 +73,6 @@ def load_report(run_dir: str | Path) -> dict[str, Any]:
     run_dir = Path(run_dir)
     causes = run_dir / "causes.json"
     if causes.exists():
-        import json
         report = json.loads(causes.read_text())
         if report.get("report_version") != _report_version():
             raise IncompatibleCaptureError(
@@ -103,6 +104,9 @@ def _load_records(run_dir: Path) -> list[dict[str, Any]]:
     return records
 
 
-def _write_json(path: Path, payload: dict[str, Any]) -> None:
-    import json
-    path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
+def write_causes(out_dir: str | Path, report: dict[str, Any]) -> Path:
+    """Write a causal ``report`` as ``out_dir/causes.json``; returns the
+    path."""
+    path = Path(out_dir) / "causes.json"
+    path.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
+    return path

@@ -152,14 +152,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def recording_sessions(recorder: TelemetryRecorder,
-                       heat: dict[int, HeatStore] | None = None
+                       heat: dict[int, tuple[str, HeatStore]] | None = None
                        ) -> Callable[..., Session]:
     """A session factory: :func:`make_session`, then ``recorder`` attached
     to the new session's runtime and tracer.
 
     With ``heat``, each traced session also records access heat into a
-    store of its own, filed under the session's number (its process in
-    ``timeline.json``: 1, 2, ... in the order the sessions open).
+    store of its own, filed with the session's platform name under the
+    session's number (its process in ``timeline.json``: 1, 2, ... in the
+    order the sessions open).
     """
     numbers = itertools.count(1)
 
@@ -168,7 +169,8 @@ def recording_sessions(recorder: TelemetryRecorder,
         recorder.attach(session.runtime, session.tracer)
         number = next(numbers)
         if heat is not None and session.tracer is not None:
-            heat[number] = session.tracer.heat = HeatStore()
+            session.tracer.heat = store = HeatStore()
+            heat[number] = (session.platform.name, store)
         return session
 
     return recorded_session
@@ -179,7 +181,7 @@ def _run_recorded(name: str, kwargs: dict, exp_dir: Path, *,
     """Run experiment ``name`` with telemetry on every session it opens and
     write the bundle (plus, with ``report``, heat and ``report.html``) into
     ``exp_dir``."""
-    heat: dict[int, HeatStore] | None = {} if report else None
+    heat: dict[int, tuple[str, HeatStore]] | None = {} if report else None
     recorder = TelemetryRecorder(jsonl=JsonlWriter(exp_dir / "events.jsonl"))
     recorder.workload = name
     recorder.config = dict(kwargs)
@@ -194,25 +196,26 @@ def _run_recorded(name: str, kwargs: dict, exp_dir: Path, *,
         print(f"telemetry: {paths['timeline'].parent}")
 
 
-def _write_heat(name: str, heat: dict[int, HeatStore], exp_dir: Path,
-                metrics: dict) -> None:
+def _write_heat(name: str, heat: dict[int, tuple[str, HeatStore]],
+                exp_dir: Path, metrics: dict) -> None:
     """``heat.csv``, ``heat.npz`` and ``report.html`` for each session
     that recorded heat: in ``exp_dir`` when at most one did, else in
-    ``exp_dir/session-<n>``."""
-    heat = {n: store for n, store in heat.items() if len(store)}
+    ``exp_dir/session-<n>``, where each report names its own session's
+    platform and leaves the experiment-wide ``metrics`` to
+    ``exp_dir/metrics.prom``."""
+    heat = {n: entry for n, entry in heat.items() if len(entry[1])}
     if len(heat) > 1:
-        targets = {exp_dir / f"session-{n}": store
-                   for n, store in heat.items()}
+        targets = {exp_dir / f"session-{n}": (platform, store, None)
+                   for n, (platform, store) in heat.items()}
     else:
-        targets = {exp_dir: next(iter(heat.values()), HeatStore())}
-    for out, store in targets.items():
+        _, store = next(iter(heat.values()), ("", HeatStore()))
+        targets = {exp_dir: ("(per experiment)", store, metrics)}
+    for out, (platform, store, report_metrics) in targets.items():
         out.mkdir(exist_ok=True)
-        store.flush_current()
-        (out / "heat.csv").write_text(store.to_csv())
-        store.to_npz(out / "heat.npz")
+        store.write(out)
         (out / "report.html").write_text(build_report(
-            workload=name, platform="(per experiment)", store=store,
-            metrics=metrics))
+            workload=name, platform=platform, store=store,
+            metrics=report_metrics))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,9 +13,9 @@ is the data model; three renderers sit on top:
 * :func:`HeatStore.to_csv` / :func:`HeatStore.to_npz` -- machine-readable
   exports for external plotting.
 
-Heat recording is **off by default**: it only happens when a
-:class:`HeatStore` is handed to a :class:`~repro.runtime.tracer.Tracer`
-(directly, or through ``TelemetryRecorder(heat=...)``).
+Heat recording is **off by default**: the code that creates a
+:class:`HeatStore` installs it as a :class:`~repro.runtime.tracer.Tracer`'s
+``heat`` and writes it (:meth:`HeatStore.write`).
 """
 
 from .attribution import caller_site, site_from_frame

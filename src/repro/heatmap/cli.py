@@ -18,6 +18,7 @@ the temporal axis of the heatmaps.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 from ..workloads.registry import (PER_ITERATION, add_run_arguments,
@@ -37,11 +38,12 @@ def run_report(workload: str, platform: str, out_dir: str | Path, *,
     """Run ``workload`` with heat recording and write the report bundle.
 
     Returns artifact paths: ``report`` (HTML) plus everything
-    :meth:`TelemetryRecorder.flush` wrote (timeline, metrics, events,
-    heat_csv, heat_npz), plus ``signature.json`` (the run's
-    access-pattern signature; its detected phases render as the report's
-    phase lane).  The :class:`HeatStore` rides along under the
-    ``"store"`` key for programmatic callers (``--ansi``, tests).
+    :meth:`TelemetryRecorder.flush` wrote (timeline, metrics, events),
+    what :meth:`HeatStore.write` wrote (heat_csv, heat_npz), plus
+    ``signature.json`` (the run's access-pattern signature; its detected
+    phases render as the report's phase lane).  The :class:`HeatStore`
+    rides along under the ``"store"`` key for programmatic callers
+    (``--ansi``, tests).
 
     With ``why=True`` the run is captured with causal provenance: the
     report gains the causal-blame section and ``causes.json`` is written
@@ -56,6 +58,7 @@ def run_report(workload: str, platform: str, out_dir: str | Path, *,
     out, heat, run = Path(out_dir), done.store, done.run
     recorder, paths = done.recorder, done.paths
     preset = done.session.platform.name
+    paths.update(heat.write(out))
 
     from ..signature.vector import signature_from_store
 
@@ -64,14 +67,10 @@ def run_report(workload: str, platform: str, out_dir: str | Path, *,
 
     causes = None
     if why:
-        import json
-
-        from ..causes.capture import build_report as build_causes
+        from ..causes.capture import build_report as build_causes, write_causes
 
         causes = build_causes(out)
-        (out / "causes.json").write_text(
-            json.dumps(causes, indent=2, sort_keys=False) + "\n")
-        paths["causes"] = out / "causes.json"
+        paths["causes"] = write_causes(out, causes)
 
     stats = {k: v for k, v in run.stats.items()
              if isinstance(v, (int, float))}
@@ -113,15 +112,28 @@ def main(argv: list[str] | None = None) -> int:
                         help="with --ansi: show only this epoch (scrub)")
     parser.add_argument("--no-color", action="store_true",
                         help="with --ansi: force the plain ASCII ramp")
-    return run_command(parser.parse_args(argv), _report)
+    args = parser.parse_args(argv)
+    if args.epoch is not None:
+        if args.epoch < 0:
+            parser.error(f"argument --epoch: {args.epoch} is not an epoch "
+                         "number (>= 0)")
+        if not args.ansi:
+            parser.error("--epoch requires --ansi")
+    return run_command(args, _report)
 
 
-def _report(args: argparse.Namespace) -> None:
+def _report(args: argparse.Namespace) -> int:
     paths = run_report(args.workload, args.platform, args.out,
                        buckets=args.buckets,
                        attribute=not args.no_attribution,
                        materialize=not args.footprint, why=args.why)
     store: HeatStore = paths.pop("store")  # type: ignore[assignment]
+    closed = store.epochs_closed
+    if args.epoch is not None and args.epoch not in closed:
+        span = f"{closed[0]}-{closed[-1]}" if closed else "none"
+        print(f"error: --epoch {args.epoch} was never closed (closed "
+              f"epochs: {span})", file=sys.stderr)
+        return 2
     if args.ansi:
         color = False if args.no_color else supports_color()
         print(render_store(store, color=color, epoch=args.epoch))
@@ -131,6 +143,7 @@ def _report(args: argparse.Namespace) -> None:
           f"{store.total} word-accesses recorded")
     for name, path in sorted(paths.items()):
         print(f"  {name:9s} {path}")
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

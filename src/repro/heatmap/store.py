@@ -8,7 +8,9 @@ write, GPU read, GPU write) -- plus a per-source-site bucket vector so
 hot regions can name the code that made them hot.  A diagnostic epoch
 reset (:meth:`HeatStore.advance_epoch`) freezes the accumulator into an
 :class:`EpochHeat` snapshot; the sequence of snapshots is the temporal
-heatmap the renderers draw.
+heatmap the renderers draw.  The tracer hands the pairs frozen to every
+epoch hook, the one channel live consumers (phase tracking, stream
+spilling) read closed epochs from.
 
 All bucket updates are O(nbuckets) or O(len(indices)) numpy operations --
 no per-word Python loops, matching the shadow-memory discipline.
@@ -303,11 +305,6 @@ class HeatStore:
         self.attribute = attribute
         self.epochs_closed: list[int] = []
         self.records = 0
-        #: Called as ``listener(alloc_heat, epoch_heat)`` for every snapshot
-        #: an :meth:`advance_epoch` freezes -- *before* a streaming store
-        #: releases it, so live consumers (phase tracking) see every
-        #: epoch even when heat spills to disk.
-        self.epoch_listeners: list = []
         self._allocs: dict[tuple[int, int], AllocationHeat] = {}
 
     # ------------------------------------------------------------------ #
@@ -346,21 +343,25 @@ class HeatStore:
         self.records += n
         self.track(alloc).add(_channel(proc, is_write), lo, hi, idx, site)
 
-    def advance_epoch(self, closed_epoch: int) -> None:
-        """Freeze every open accumulator as epoch ``closed_epoch``."""
-        for heat in self._allocs.values():
-            snap = heat.freeze(closed_epoch)
-            if snap is not None and self.epoch_listeners:
-                for listener in tuple(self.epoch_listeners):
-                    listener(heat, snap)
-        self.epochs_closed.append(closed_epoch)
+    def advance_epoch(
+            self, closed_epoch: int) -> list[tuple[AllocationHeat, EpochHeat]]:
+        """Freeze every open accumulator as epoch ``closed_epoch``.
 
-    def flush_current(self) -> None:
-        """Freeze residual heat that never saw a diagnostic reset."""
-        epoch = (self.epochs_closed[-1] + 1) if self.epochs_closed else 0
-        pending = [h for h in self._allocs.values() if h._counts.any()]
-        if pending:
-            self.advance_epoch(epoch)
+        Returns the ``(AllocationHeat, EpochHeat)`` pairs frozen, in
+        store order (allocations that recorded nothing are skipped).
+        """
+        frozen = [(heat, snap) for heat in self._allocs.values()
+                  if (snap := heat.freeze(closed_epoch)) is not None]
+        self.epochs_closed.append(closed_epoch)
+        return frozen
+
+    def flush_current(self) -> list[tuple[AllocationHeat, EpochHeat]]:
+        """Freeze residual heat that never saw a diagnostic reset; returns
+        the pairs frozen (none when no heat was pending)."""
+        if not any(h._counts.any() for h in self._allocs.values()):
+            return []
+        return self.advance_epoch(
+            (self.epochs_closed[-1] + 1) if self.epochs_closed else 0)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -400,6 +401,16 @@ class HeatStore:
                         nz.tolist(), e.counts[:, nz].T.tolist(),
                         top[nz].tolist())))
         return out.getvalue()
+
+    def write(self, out_dir: str | Path) -> dict[str, Path]:
+        """Freeze any open heat, then write ``heat.csv`` and ``heat.npz``
+        into ``out_dir``; returns their paths as ``heat_csv``/``heat_npz``."""
+        self.flush_current()
+        out = Path(out_dir)
+        csv_path = out / "heat.csv"
+        csv_path.write_text(self.to_csv())
+        return {"heat_csv": csv_path,
+                "heat_npz": self.to_npz(out / "heat.npz")}
 
     def to_npz(self, path: str | Path) -> Path:
         """Write all heat matrices to a compressed ``.npz`` archive.

@@ -119,7 +119,7 @@ class EventLog:
         :param capacity: bound on retained events; beyond it the log either
             degrades to counters-only (``ring=False``) or drops the oldest
             events (``ring=True``) rather than exhausting memory.
-        :param ring: retain the newest ``capacity`` events instead of the
+        :param ring: keep the newest ``capacity`` events instead of the
             oldest.
         """
         self._keep = keep_events

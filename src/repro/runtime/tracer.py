@@ -95,8 +95,9 @@ class Tracer(ObserverBase):
         self.transfers: list[TransferRecord] = []
         self.advice: list[AdviceRecord] = []
         self.kernels: list[KernelRecord] = []
-        #: Called with the number of the epoch that just closed whenever
-        #: :meth:`advance_epoch` runs (telemetry epoch markers).
+        #: Called as ``hook(closed, frozen)`` by :meth:`advance_epoch`: the
+        #: closed epoch's number and the ``(AllocationHeat, EpochHeat)``
+        #: pairs the heat store froze for it (empty without a store).
         self.epoch_hooks: list = []
         #: Called with each :class:`~repro.runtime.diagnostics.DiagnosticResult`
         #: *before* the diagnostic resets the epoch -- live state (shadow,
@@ -403,10 +404,10 @@ class Tracer(ObserverBase):
         self.smt.flush_graveyard()
         closed = self.epoch
         self.epoch += 1
-        if self.heat is not None:
-            self.heat.advance_epoch(closed)
+        frozen = self.heat.advance_epoch(closed) \
+            if self.heat is not None else []
         for hook in tuple(self.epoch_hooks):
-            hook(closed)
+            hook(closed, frozen)
         return self.epoch
 
     def describe(self) -> dict:

@@ -1,12 +1,12 @@
 """Live phase tracking: phase events in the run's causal event stream.
 
 :class:`PhaseTracker` wires the online :class:`~.phases.PhaseDetector`
-into a traced session: it listens to every frozen epoch snapshot
-(:attr:`HeatStore.epoch_listeners`, which fires *before* a streaming
-store releases the snapshot to disk), folds them into one run-level
-vector per epoch, and -- whenever the detector declares a change-point --
-records ``phase_begin`` / ``phase_end`` :class:`~repro.memsim.events.Event`
-markers with cause links:
+into a traced session: as a tracer epoch hook it receives the snapshots
+the heat store froze for each closed epoch (a streaming store has
+released them to disk by then, but the hook still holds them), folds
+them into one run-level vector per epoch, and -- whenever the detector
+declares a change-point -- records ``phase_begin`` / ``phase_end``
+:class:`~repro.memsim.events.Event` markers with cause links:
 
 * a ``phase_begin``'s parent is the ``phase_end`` it follows (so Perfetto
   flow arrows chain phases);
@@ -22,15 +22,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from ..memsim import Processor
 from ..memsim.events import CauseLink, Event, EventKind, EventLog
 from .phases import DEFAULT_THRESHOLD, Phase, PhaseDetector
 from .vector import combine_vectors
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..heatmap.store import AllocationHeat, EpochHeat, HeatStore
+    from ..heatmap.store import AllocationHeat, EpochHeat
     from ..runtime.tracer import Tracer
 
 __all__ = ["PhaseTracker"]
@@ -57,33 +55,24 @@ class PhaseTracker:
         self.changes = 0
         #: Epoch of the most recent detector update.
         self.last_epoch = -1
-        self._pending: list[tuple[np.ndarray, int]] = []
         self._begin_id = -1
         self._last_end_id = -1
         self._tracer: "Tracer | None" = None
-        self._heat: "HeatStore | None" = None
         self._finished = False
 
     # ------------------------------------------------------------------ #
     # wiring
 
-    def attach(self, tracer: "Tracer",
-               heat: "HeatStore | None" = None) -> "PhaseTracker":
-        """Subscribe to ``tracer``'s epoch stream (and its heat store)."""
-        heat = heat if heat is not None else tracer.heat
-        if heat is None:
+    def attach(self, tracer: "Tracer") -> "PhaseTracker":
+        """Subscribe to ``tracer``'s epoch hooks (it must record heat)."""
+        if tracer.heat is None:
             raise ValueError("phase tracking needs a heat store")
-        heat.epoch_listeners.append(self._on_freeze)
         tracer.epoch_hooks.append(self._on_epoch)
         self._tracer = tracer
-        self._heat = heat
         return self
 
     def detach(self) -> None:
         """Unsubscribe (no-op when never attached)."""
-        if self._heat is not None and \
-                self._on_freeze in self._heat.epoch_listeners:
-            self._heat.epoch_listeners.remove(self._on_freeze)
         if self._tracer is not None and \
                 self._on_epoch in self._tracer.epoch_hooks:
             self._tracer.epoch_hooks.remove(self._on_epoch)
@@ -91,12 +80,10 @@ class PhaseTracker:
     # ------------------------------------------------------------------ #
     # epoch stream
 
-    def _on_freeze(self, heat: "AllocationHeat", snap: "EpochHeat") -> None:
-        self._pending.append((snap.vector, snap.total))
-
-    def _on_epoch(self, closed: int) -> None:
-        vec, weight = combine_vectors(self._pending)
-        self._pending.clear()
+    def _on_epoch(self, closed: int,
+                  frozen: "list[tuple[AllocationHeat, EpochHeat]]") -> None:
+        vec, weight = combine_vectors(
+            [(snap.vector, snap.total) for _, snap in frozen])
         if weight <= 0:
             return
         first = not self.detector.started

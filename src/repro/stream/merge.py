@@ -192,10 +192,7 @@ class MergedRun:
                 fh.write(json.dumps(record) + "\n")
         paths["events"] = events_path
 
-        csv_path = out / "heat.csv"
-        csv_path.write_text(self.store.to_csv())
-        paths["heat_csv"] = csv_path
-        paths["heat_npz"] = self.store.to_npz(out / "heat.npz")
+        paths.update(self.store.write(out))
 
         metrics_path = out / "metrics.prom"
         metrics_path.write_text(self._registry().to_prometheus())
@@ -206,11 +203,10 @@ class MergedRun:
 
         causes = None
         if why:
+            from ..causes.capture import write_causes
+
             causes = self.causes_report()
-            causes_path = out / "causes.json"
-            causes_path.write_text(
-                json.dumps(causes, indent=2, sort_keys=False) + "\n")
-            paths["causes"] = causes_path
+            paths["causes"] = write_causes(out, causes)
 
         if report:
             from ..heatmap.html import build_report

@@ -2,9 +2,11 @@
 
 :func:`run_streaming` is the producer side of the spill-and-merge story:
 one workload executed with a :class:`~repro.stream.spill.SpillingHeatStore`
-and a ring-retained event log whose evictions land in an on-disk stream
-directory instead of being dropped.  Memory stays bounded by the ring
-capacity + one pending segment, no matter how long the run.
+on its tracer (whose frozen epochs the
+:class:`~repro.stream.spill.StreamSpiller` sinks) and a ring-retained
+event log whose evictions land in an on-disk stream directory instead of
+being dropped.  Memory stays bounded by the ring capacity + one pending
+segment, no matter how long the run.
 
 :func:`split_stream` redistributes a finished stream's segments
 round-robin into K shard directories -- the controlled way to exercise

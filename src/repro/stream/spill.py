@@ -3,13 +3,14 @@
 Two pieces turn the in-memory observability stores into streaming ones:
 
 * :class:`SpillingHeatStore` -- a :class:`~repro.heatmap.store.HeatStore`
-  whose epoch snapshots are handed to a sink as they freeze and (by
-  default) immediately released, so heat memory stays flat no matter how
-  many epochs a run closes.
+  whose epoch snapshots are handed to a sink as they freeze and then
+  released, so heat memory stays flat no matter how many epochs a run
+  closes.
 * :class:`StreamSpiller` -- wires one session into a
   :class:`~repro.stream.segments.SegmentWriter`: the event log's ring
   retention becomes *evict-to-disk* (the :attr:`EventLog.spill` sink),
-  frozen heat epochs buffer up, and every closed tracing epoch -- or an
+  the heat epochs the session tracer's :class:`SpillingHeatStore`
+  freezes buffer up, and every closed tracing epoch -- or an
   event-buffer watermark, whichever comes first -- appends one framed
   segment to the shard log, with the rollup the manifest publishes for
   ``repro-top``.
@@ -76,37 +77,28 @@ def decode_heat_epoch(rec: Mapping[str, Any], nbuckets: int) -> EpochHeat:
 class SpillingHeatStore(HeatStore):
     """A heat store whose frozen epochs stream out instead of piling up.
 
-    :param sink: called as ``sink(alloc_heat, epoch_heat)`` for every
-        snapshot frozen by :meth:`advance_epoch`; installed by
-        :meth:`StreamSpiller.attach` when created standalone.
-    :param retain: also keep the snapshots in memory (diagnostic runs
-        that want both the stream and the in-process renderers).  Off by
-        default: spilled epochs are released and memory stays flat.
+    Once :meth:`StreamSpiller.attach` has installed :attr:`sink`, every
+    snapshot goes to it as it freezes and the store releases it.  The
+    pairs :meth:`advance_epoch` returns still hold the released
+    snapshots, so the tracer's epoch hooks (live phase tracking) see
+    every epoch.
     """
 
-    def __init__(self, *, sink=None, retain: bool = False, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.sink = sink
-        self.retain = retain
-        self.epochs_spilled = 0
+    #: Called as ``sink(alloc_heat, epoch_heat)`` for each snapshot
+    #: frozen; ``None`` (no spiller yet) keeps snapshots in memory.
+    sink = None
 
-    def advance_epoch(self, closed_epoch: int) -> None:
+    def advance_epoch(
+            self, closed_epoch: int) -> list[tuple[AllocationHeat, EpochHeat]]:
         """Freeze accumulators, stream the snapshots, release the memory."""
-        for heat in self._allocs.values():
-            snap = heat.freeze(closed_epoch)
-            if snap is None:
-                continue
-            # Live listeners (phase tracking) see every snapshot before
-            # the store releases it to the spill sink.
-            if self.epoch_listeners:
-                for listener in tuple(self.epoch_listeners):
-                    listener(heat, snap)
-            if self.sink is not None:
+        frozen = [(heat, snap) for heat in self._allocs.values()
+                  if (snap := heat.freeze(closed_epoch)) is not None]
+        if self.sink is not None:
+            for heat, snap in frozen:
                 self.sink(heat, snap)
-                self.epochs_spilled += 1
-                if not self.retain:
-                    heat.epochs.pop()
+                heat.epochs.pop()
         self.epochs_closed.append(closed_epoch)
+        return frozen
 
 
 class StreamSpiller(ObserverBase):
@@ -138,7 +130,6 @@ class StreamSpiller(ObserverBase):
         self._alloc_totals: dict[str, int] = {}
         self._session: "Session | None" = None
         self._prev_spill = None
-        self._epoch_hook = None
         self._closed = False
         #: Optional :class:`~repro.signature.tracker.PhaseTracker`; when
         #: set, its live state rides the manifest rollup (``repro-top``'s
@@ -149,35 +140,30 @@ class StreamSpiller(ObserverBase):
     # ------------------------------------------------------------------ #
     # wiring
 
-    def attach(self, session: "Session",
-               heat: SpillingHeatStore | None = None) -> "StreamSpiller":
-        """Wire into ``session``: event-log spill sink, epoch hook, heat.
+    def attach(self, session: "Session") -> "StreamSpiller":
+        """Wire into ``session``: event-log spill sink, epoch hook, and the
+        sink of the :class:`SpillingHeatStore` its tracer records into.
 
         The session's event log keeps its configured retention; what the
-        ring would have dropped now lands in the stream instead.  Returns
-        self.
+        ring would have dropped now lands in the stream instead.  Raises
+        :class:`TypeError` when the tracer's heat store is not a
+        :class:`SpillingHeatStore`.  Returns self.
         """
         if self._session is not None:
             raise RuntimeError("StreamSpiller is already attached")
+        heat = getattr(session.tracer, "heat", None)
+        if not isinstance(heat, SpillingHeatStore):
+            raise TypeError("StreamSpiller needs the session tracer to "
+                            "record heat into a SpillingHeatStore, not "
+                            f"{type(heat).__name__}")
         self._session = session
+        self.heat = heat
+        heat.sink = self._on_heat_epoch
         log = session.platform.events
         self._prev_spill = log.spill
         log.spill = self._spill_event
         session.runtime.subscribe(self)
-        if heat is not None:
-            self.heat = heat
-        if self.heat is not None and self.heat.sink is None:
-            self.heat.sink = self._on_heat_epoch
-        tracer = session.tracer
-        if tracer is not None:
-            if self.heat is not None and tracer.heat is None:
-                tracer.heat = self.heat
-
-            def epoch_hook(closed: int) -> None:
-                self._on_epoch(closed)
-
-            self._epoch_hook = epoch_hook
-            tracer.epoch_hooks.append(epoch_hook)
+        session.tracer.epoch_hooks.append(self._on_epoch)
         return self
 
     def close(self) -> dict[str, Any]:
@@ -192,8 +178,7 @@ class StreamSpiller(ObserverBase):
             return self.writer.manifest()
         session = self._session
         if session is not None:
-            if self.heat is not None:
-                self.heat.flush_current()
+            self.heat.flush_current()
             log = session.platform.events
             for event in log:
                 self._append(encode_driver_event(event))
@@ -201,11 +186,8 @@ class StreamSpiller(ObserverBase):
             self._flush_segment()
             log.spill = self._prev_spill
             session.runtime.unsubscribe(self)
-            tracer = session.tracer
-            if tracer is not None and self._epoch_hook in tracer.epoch_hooks:
-                tracer.epoch_hooks.remove(self._epoch_hook)
-        manifest_path_rollup = self._rollup()
-        self.writer.finalize(manifest_path_rollup)
+            session.tracer.epoch_hooks.remove(self._on_epoch)
+        self.writer.finalize(self._rollup())
         self._closed = True
         self._session = None
         return self.writer.manifest()
@@ -234,10 +216,10 @@ class StreamSpiller(ObserverBase):
         self._alloc_totals[heat.label] = \
             self._alloc_totals.get(heat.label, 0) + snap.total
 
-    def _on_epoch(self, closed: int) -> None:
+    def _on_epoch(self, closed: int, frozen) -> None:
         """Tracer epoch hook: every closed epoch lands one segment.
 
-        The heat store froze (and sank) this epoch's snapshots before the
+        The heat store sank ``frozen`` while freezing it, before the
         hooks fired, so the marker always follows its epoch's heat.
         """
         t = self._session.platform.clock.now if self._session else 0.0

@@ -36,6 +36,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..heatmap.ansi import ANSI_RAMP, ASCII_RAMP, _levels, supports_color
+from ..workloads.registry import non_negative, positive_int
 
 from .segments import (
     TruncatedSegmentError,
@@ -313,14 +314,14 @@ def main(argv: list[str] | None = None) -> int:
                     "(tails segment manifests + spilled heat).")
     parser.add_argument("dirs", nargs="+", metavar="DIR",
                         help="stream (shard) directories to tail")
-    parser.add_argument("--interval", type=float, default=1.0,
+    parser.add_argument("--interval", type=non_negative, default=1.0,
                         help="seconds between refreshes (default: 1)")
-    parser.add_argument("--frames", type=int, default=None,
+    parser.add_argument("--frames", type=positive_int, default=None,
                         help="render N frames then exit (scripted mode; "
                              "default: run until interrupted)")
     parser.add_argument("--alloc", metavar="LABEL",
                         help="drill into one allocation's recent epochs")
-    parser.add_argument("--width", type=int, default=48,
+    parser.add_argument("--width", type=positive_int, default=48,
                         help="heat strip width in cells (default: 48)")
     parser.add_argument("--no-color", action="store_true",
                         help="force the plain ASCII ramp")
@@ -343,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
             if all((v.manifest or {}).get("complete")
                    for v in monitor.views) and args.frames is None:
                 break
-            time.sleep(max(0.0, args.interval))
+            time.sleep(args.interval)
     except KeyboardInterrupt:
         pass
     return 0

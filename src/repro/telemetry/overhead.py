@@ -80,7 +80,7 @@ def _heat(runner: Runner, platform: str, workload: str, *,
           attribute: bool = True, signature: bool = False) -> None:
     session = _session(platform)
     heat = session.tracer.heat = HeatStore(attribute=attribute)
-    tracker = (PhaseTracker(log=EventLog()).attach(session.tracer, heat)
+    tracker = (PhaseTracker(log=EventLog()).attach(session.tracer)
                if signature else None)
     runner(session)
     if tracker is not None:

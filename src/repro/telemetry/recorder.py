@@ -43,7 +43,6 @@ from .timeline import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.advisor import Diagnosis
     from ..cudart.api import CudaRuntime
-    from ..heatmap.store import HeatStore
     from ..runtime.tracer import Tracer
 
 __all__ = ["TelemetryRecorder"]
@@ -71,9 +70,6 @@ class _SessionHooks:
     drop_listener: Any = None
     epoch_hook: Any = None
     pending_kernels: list[tuple[str, int, int, float]] = field(default_factory=list)
-    #: Heat store the tracer carried before attach (restored on detach).
-    prev_heat: Any = None
-    heat_installed: bool = False
     #: Timeline anchor (time, track) of every drawn causal event, so later
     #: events can point flow arrows back at their parents.
     event_points: dict[int, tuple[float, int]] = field(default_factory=dict)
@@ -94,10 +90,10 @@ class TelemetryRecorder(ObserverBase):
     :param max_timeline_events: soft cap on timeline events; beyond it new
         spans/instants are dropped (counted in ``dropped_timeline_events``)
         so huge runs still produce loadable traces.
-    :param heat: optional :class:`~repro.heatmap.store.HeatStore`;
-        :meth:`attach` installs it on the session's tracer (heat recording
-        stays off without one) and :meth:`flush` writes ``heat.csv`` /
-        ``heat.npz`` next to the other artifacts.
+
+    Access heat is not the recorder's: whoever creates a
+    :class:`~repro.heatmap.store.HeatStore` installs it on the tracer
+    and writes it (:meth:`~repro.heatmap.store.HeatStore.write`).
     """
 
     def __init__(
@@ -108,12 +104,10 @@ class TelemetryRecorder(ObserverBase):
         jsonl: JsonlWriter | None = None,
         stream_driver_events: bool = True,
         max_timeline_events: int = 200_000,
-        heat: "HeatStore | None" = None,
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry("xplacer_")
         self.timeline = timeline if timeline is not None else TimelineBuilder()
         self.jsonl = jsonl
-        self.heat = heat
         self.stream_driver_events = stream_driver_events
         self.max_timeline_events = max_timeline_events
         self.dropped_timeline_events = 0
@@ -197,14 +191,10 @@ class TelemetryRecorder(ObserverBase):
         platform.events.add_drop_listener(drop_listener)
         platform.um.metrics_hook = self._metrics_hook
         if tracer is not None:
-            def epoch_hook(epoch: int, _hooks=hooks) -> None:
+            def epoch_hook(epoch: int, frozen, _hooks=hooks) -> None:
                 self._on_epoch(_hooks, epoch)
             hooks.epoch_hook = epoch_hook
             tracer.epoch_hooks.append(epoch_hook)
-            if self.heat is not None:
-                hooks.prev_heat = tracer.heat
-                hooks.heat_installed = True
-                tracer.heat = self.heat
         self._sessions.append(hooks)
         self._active = hooks
         return self
@@ -228,10 +218,6 @@ class TelemetryRecorder(ObserverBase):
             if hooks.tracer is not None and hooks.epoch_hook is not None:
                 if hooks.epoch_hook in hooks.tracer.epoch_hooks:
                     hooks.tracer.epoch_hooks.remove(hooks.epoch_hook)
-            if hooks.heat_installed and hooks.tracer is not None:
-                if hooks.tracer.heat is self.heat:
-                    hooks.tracer.heat = hooks.prev_heat
-                hooks.heat_installed = False
             if self._active is hooks:
                 self._active = None
         self._sessions = remaining
@@ -582,12 +568,6 @@ class TelemetryRecorder(ObserverBase):
         metrics_path = out / "metrics.prom"
         metrics_path.write_text(self.metrics.to_prometheus())
         paths["metrics"] = metrics_path
-        if self.heat is not None:
-            self.heat.flush_current()
-            csv_path = out / "heat.csv"
-            csv_path.write_text(self.heat.to_csv())
-            paths["heat_csv"] = csv_path
-            paths["heat_npz"] = self.heat.to_npz(out / "heat.npz")
         if self.jsonl is not None:
             self.jsonl.close()
             paths["events"] = out / "events.jsonl"

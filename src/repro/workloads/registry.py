@@ -186,6 +186,18 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative(text: str) -> float:
+    """``argparse`` type for intervals: a finite number of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a non-negative number")
+    return value
+
+
 def add_run_arguments(parser: argparse.ArgumentParser, *,
                       workload: str | None = "pathfinder",
                       out: str = "run directory for the artifacts",

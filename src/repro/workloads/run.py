@@ -11,9 +11,10 @@ The spec's fields decide the observers: ``buckets`` records heat (and
 diagnoses every iteration, so each one freezes a heat epoch);
 ``out_dir`` writes the telemetry bundle, or with ``shard`` a spill
 stream; ``why`` records causal provenance.  They attach in one order:
-session, recorder (with heat), causes, live phase tracker (when heat
-and an output go together), stream spiller.  Observer modules are
-imported only when a spec needs them.
+session (its tracer gets the heat store, installed nowhere else),
+recorder, causes, live phase tracker (when heat and an output go
+together), stream spiller.  Observer modules are imported only when a
+spec needs them.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def execute(spec: RunSpec) -> Execution:
         from ..telemetry.recorder import TelemetryRecorder
 
         done.recorder = TelemetryRecorder(
-            jsonl=JsonlWriter(out / "events.jsonl"), heat=store)
+            jsonl=JsonlWriter(out / "events.jsonl"))
         done.recorder.workload = spec.workload
         done.recorder.config = _config(spec, preset, mini)
         done.recorder.attach(session.runtime, tracer,
@@ -167,7 +168,7 @@ def execute(spec: RunSpec) -> Execution:
         # event log before that epoch's segment is flushed.
         done.tracker = PhaseTracker(
             log=events, clock=lambda: session.platform.clock.now,
-        ).attach(tracer, store)
+        ).attach(tracer)
     spiller = None
     if stream:
         from ..stream.spill import StreamSpiller
@@ -176,7 +177,7 @@ def execute(spec: RunSpec) -> Execution:
         spiller = StreamSpiller(
             out, shard=spec.shard, workload=spec.workload, platform=preset,
             config=_config(spec, preset, mini),
-            watermark_events=spec.watermark_events).attach(session, heat=store)
+            watermark_events=spec.watermark_events).attach(session)
         spiller.phase_source = done.tracker
 
     try:

@@ -43,7 +43,7 @@ def _streamed_run(backend: str, out_dir) -> dict:
     # same three wires a Session exposes.
     shim = SimpleNamespace(platform=interp.runtime.platform,
                            runtime=interp.runtime, tracer=interp.tracer)
-    spiller.attach(shim, heat=heat)
+    spiller.attach(shim)
     interp.run("main")
     manifest = spiller.close()
     if backend == "codegen-vec":

@@ -98,3 +98,18 @@ class TestTelemetryDir:
             records += len({row["allocation"] for row in
                             csv.DictReader(io.StringIO(heat_csv))})
         assert records == 17
+
+    def test_session_reports_name_their_platform_not_experiment_metrics(
+            self, tmp_path, capsys):
+        assert main(["tab2", "--telemetry-dir", str(tmp_path),
+                     "--report"]) == 0
+        tab2_dir = tmp_path / "tab2"
+        platform = make_session(trace=False).platform.name
+        for n in range(1, len(TAB2_SESSIONS) + 1):
+            html = (tab2_dir / f"session-{n}" / "report.html").read_text()
+            assert f"<h1>XPlacer run report — tab2 on {platform}</h1>" in html
+            # Experiment-wide metrics stay in DIR/<id>/metrics.prom only.
+            assert "kernel launches" not in html
+            assert "full metrics table" not in html
+        assert "kernel_launches_total" in \
+            (tab2_dir / "metrics.prom").read_text()

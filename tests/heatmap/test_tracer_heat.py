@@ -105,3 +105,63 @@ class TestDiagnosticsHotSites:
         result = trace_print(tracer, out=None)
         assert result.named("buf").hot_sites == ()
         assert "hot sites" not in format_text(result)
+
+
+class TestEpochHooks:
+    """Every epoch hook is called as ``hook(closed, frozen)``."""
+
+    @staticmethod
+    def _touch_in_order(store):
+        platform = intel_pascal()
+        tracer = Tracer(heat=store)
+        allocs = {}
+        for label in ("c", "a", "b"):
+            allocs[label] = platform.address_space.allocate(
+                64 * 4, MemoryKind.MANAGED, label=label)
+            tracer.trc_register(allocs[label])
+        seen = []
+        tracer.epoch_hooks.append(
+            lambda closed, frozen: seen.append((closed, list(frozen))))
+        for label in ("c", "a", "b"):      # first touch fixes store order
+            tracer.traceW(allocs[label].base, 4)
+        tracer.advance_epoch()
+        for label in ("b", "a"):           # c stays cold in epoch 1
+            tracer.traceR(allocs[label].base, 4)
+        tracer.advance_epoch()
+        tracer.advance_epoch()             # nothing recorded
+        return seen
+
+    def test_pairs_arrive_in_store_order(self):
+        store = HeatStore(nbuckets=8, attribute=False)
+        seen = self._touch_in_order(store)
+        assert [(closed, [(h.label, s.epoch) for h, s in frozen])
+                for closed, frozen in seen] == [
+            (0, [("c", 0), ("a", 0), ("b", 0)]),
+            (1, [("a", 1), ("b", 1)]),
+            (2, []),
+        ]
+        # The plain store keeps what it hands out.
+        for _, frozen in seen:
+            for heat, snap in frozen:
+                assert any(e is snap for e in heat.epochs)
+
+    def test_spilling_store_hooks_get_released_snapshots(self):
+        from repro.stream.spill import SpillingHeatStore
+
+        store = SpillingHeatStore(nbuckets=8, attribute=False)
+        sunk = []
+        store.sink = lambda heat, snap: sunk.append(snap)
+        seen = self._touch_in_order(store)
+        handed = [snap for _, frozen in seen for _, snap in frozen]
+        assert len(handed) == 5
+        assert all(a is b for a, b in zip(handed, sunk, strict=True))
+        assert all(not h.epochs for h in store.allocations())  # released
+        assert [s.total for s in handed] == [1] * 5  # one word each
+
+    def test_no_store_hands_no_pairs(self):
+        tracer = Tracer()
+        seen = []
+        tracer.epoch_hooks.append(
+            lambda closed, frozen: seen.append((closed, frozen)))
+        tracer.advance_epoch()
+        assert seen == [(0, [])]

@@ -1,5 +1,7 @@
 """Live phase tracking: markers in the event log with cause links."""
 
+import pytest
+
 from repro.heatmap.store import HeatStore
 from repro.memsim import AddressSpace, MemoryKind, Processor
 from repro.memsim.events import EventKind, EventLog
@@ -79,7 +81,6 @@ class TestPhaseEvents:
         tracer = tracker._tracer
         tracker.detach()
         assert not tracer.epoch_hooks
-        assert not tracer.heat.epoch_listeners
 
     def test_empty_epochs_emit_nothing(self):
         log = EventLog()
@@ -100,3 +101,20 @@ class TestWordCounter:
                          is_write=False, indices=None, is_rmw=False)
         tracer.advance_epoch()
         assert tracer.describe()["words_recorded"] == WORDS
+
+
+class TestLiveMatchesOffline:
+    """Through the one run path, the live tracker and the signature built
+    from the finished store detect the same phases."""
+
+    @pytest.mark.parametrize("workload, phases", [("sw", 5),
+                                                  ("pathfinder", 3)])
+    def test_execute_phases_match_signature(self, workload, phases,
+                                            tmp_path):
+        from repro.signature.vector import signature_from_store
+        from repro.workloads.run import RunSpec, execute
+
+        done = execute(RunSpec(workload, "pcie", tmp_path, buckets=64))
+        live = [p.to_dict() for p in done.tracker.detector.phases]
+        assert len(live) == phases
+        assert live == signature_from_store(done.store).phases

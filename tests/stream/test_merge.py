@@ -137,7 +137,7 @@ class TestStreamingEqualsInMemory:
         tracker = PhaseTracker(
             log=session.platform.events,
             clock=lambda: session.platform.clock.now,
-        ).attach(session.tracer, heat)
+        ).attach(session.tracer)
         WORKLOADS["lulesh"](session, per_iteration=True)
         tracker.finish()
         return session, heat

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cudart import CudaRuntime
+from repro.heatmap.store import HeatStore
 from repro.memsim import PAGE_SIZE, Event, EventKind, EventLog, Processor, intel_pascal
 from repro.stream.segments import iter_shard_records, load_manifest
 from repro.stream.spill import SpillingHeatStore, StreamSpiller
@@ -103,27 +104,19 @@ def _touch(session, label="v", pages=4):
 class TestSpillingHeatStore:
     def test_spilled_epochs_are_released(self):
         sunk = []
-        heat = SpillingHeatStore(nbuckets=8,
-                                 sink=lambda h, s: sunk.append((h.label, s.epoch)))
+        heat = SpillingHeatStore(nbuckets=8)
+        heat.sink = lambda h, s: sunk.append((h.label, s.epoch))
         session = _heat_session()
         session.tracer.heat = heat
         _touch(session)
         session.tracer.advance_epoch()
         _touch(session, label="w")
         session.tracer.advance_epoch()
-        assert heat.epochs_spilled == len(sunk) >= 2
+        assert len(sunk) >= 2
         assert {label for label, _ in sunk} == {"v", "w"}
         # released: no per-epoch snapshots retained in memory
         assert all(not h.epochs for h in heat.allocations())
         assert heat.epochs_closed == [0, 1]
-
-    def test_retain_keeps_snapshots_too(self):
-        heat = SpillingHeatStore(nbuckets=8, sink=lambda h, s: None, retain=True)
-        session = _heat_session()
-        session.tracer.heat = heat
-        _touch(session)
-        session.tracer.advance_epoch()
-        assert any(h.epochs for h in heat.allocations())
 
 
 class TestStreamSpiller:
@@ -131,10 +124,10 @@ class TestStreamSpiller:
         session = _heat_session()
         session.platform.events.configure_retention(capacity=log_capacity,
                                                     ring=True)
-        heat = SpillingHeatStore(nbuckets=8)
+        session.tracer.heat = SpillingHeatStore(nbuckets=8)
         spiller = StreamSpiller(tmp_path, shard="t0", workload="unit",
                                 platform="intel-pascal", watermark_events=64)
-        spiller.attach(session, heat=heat)
+        spiller.attach(session)
         for i in range(epochs):
             _touch(session, label=f"a{i}")
             session.tracer.advance_epoch()
@@ -178,17 +171,28 @@ class TestStreamSpiller:
     def test_close_unwires_and_is_idempotent(self, tmp_path):
         session, spiller, _, _ = self._run(tmp_path)
         assert session.platform.events.spill is None
-        assert spiller._epoch_hook not in session.tracer.epoch_hooks
+        assert spiller._on_epoch not in session.tracer.epoch_hooks
         again = spiller.close()
         assert again["complete"] is True
 
     def test_attach_twice_rejected(self, tmp_path):
         session = _heat_session()
+        session.tracer.heat = SpillingHeatStore()
         spiller = StreamSpiller(tmp_path / "s")
         spiller.attach(session)
         with pytest.raises(RuntimeError):
             spiller.attach(session)
         spiller.close()
+
+    @pytest.mark.parametrize("store", [None, HeatStore()],
+                             ids=["no-store", "plain-store"])
+    def test_attach_needs_a_spilling_store(self, tmp_path, store):
+        session = _heat_session()
+        session.tracer.heat = store
+        with pytest.raises(TypeError, match="SpillingHeatStore"):
+            StreamSpiller(tmp_path / "s").attach(session)
+        assert session.platform.events.spill is None
+        assert not session.tracer.epoch_hooks
 
 
 class TestDroppedTelemetry:

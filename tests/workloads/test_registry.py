@@ -126,6 +126,9 @@ BAD_FLAGS = [
       for command, flag in COUNT_FLAGS for value in ("0", "-3", "many")),
     _bad("repro-sig compute --npz", "--platform", "no-such",
          "unknown platform 'no-such'; known: "),
+    _bad("repro-report", "--epoch", "-1",
+         "argument --epoch: -1 is not an epoch number (>= 0)"),
+    _bad("repro-report", "--epoch", "2", "--epoch requires --ansi"),
 ]
 
 
@@ -145,3 +148,37 @@ def test_counts_must_be_positive(command, flag, value, message, heat_npz,
     assert message in done.stderr
     assert "Traceback" not in done.stderr
     assert not out.exists()
+
+
+#: (flag, bad value, expected stderr) for ``repro-top``, which tails
+#: directories and so takes no ``--out``; every one exits 2.
+TOP_BAD_FLAGS = [
+    *(pytest.param(flag, value,
+                   f"argument {flag}: '{value}' is not a positive integer",
+                   id=f"repro-top-{flag}-{value}")
+      for flag in ("--frames", "--width") for value in ("0", "-3", "many")),
+    *(pytest.param("--interval", value,
+                   f"argument --interval: '{value}' is not a non-negative "
+                   "number", id=f"repro-top---interval-{value}")
+      for value in ("-1", "nan", "soon")),
+]
+
+
+@pytest.mark.parametrize("flag, value, message", TOP_BAD_FLAGS)
+def test_top_rejects_bad_values(flag, value, message, tmp_path):
+    done = _cli("repro.stream.top", [str(tmp_path), "--frames", "1",
+                                     "--interval", "0", flag, value])
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
+def test_report_epoch_never_closed_names_the_closed_range(tmp_path):
+    done = _cli("repro.heatmap", ["--workload", "pathfinder", "--out",
+                                  str(tmp_path / "out"), "--ansi",
+                                  "--epoch", "999"])
+    assert done.returncode == 2
+    assert done.stderr == ("error: --epoch 999 was never closed "
+                           "(closed epochs: 0-5)\n")
+    assert done.stdout == ""
