@@ -46,10 +46,7 @@ def diagnose(
     descriptors: Sequence[XplAllocData] | None = None,
     out: IO[str] | None = None,
     *,
-    density_threshold: float = 0.5,
-    density_block_words: int | None = None,
     min_transfer_block_words: int = 16,
-    min_alternating_words: int = 1,
     include_unnamed: bool = False,
     reset: bool = True,
 ) -> Diagnosis:
@@ -59,10 +56,8 @@ def diagnose(
         include_maps=True, include_unnamed=include_unnamed, reset=reset,
     )
     findings: list[Finding] = []
-    findings += detect_alternating(result, tracer, min_words=min_alternating_words)
-    findings += detect_low_density(
-        result, threshold=density_threshold, block_words=density_block_words,
-    )
+    findings += detect_alternating(result, tracer)
+    findings += detect_low_density(result)
     findings += detect_unnecessary_transfers(
         result, tracer, min_block_words=min_transfer_block_words,
     )

@@ -62,14 +62,10 @@ def detect_unnecessary_transfers(
     tracer: Tracer,
     *,
     min_block_words: int = 16,
-    current_epoch_only: bool = True,
 ) -> list[Finding]:
     """Findings for wasted explicit transfers (needs ``include_maps=True``)."""
     findings: list[Finding] = []
-    transfers = [
-        t for t in tracer.transfers
-        if not current_epoch_only or t.epoch == result.epoch
-    ]
+    transfers = [t for t in tracer.transfers if t.epoch == result.epoch]
     for report in result.reports:
         if report.alloc.kind is not MemoryKind.DEVICE:
             continue

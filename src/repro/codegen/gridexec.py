@@ -444,7 +444,7 @@ class VecRun:
         self._finished = True
         self._check()
         tracer = self.tracer
-        if tracer is None or not tracer.enabled:
+        if tracer is None:
             return
         seen = self._batcher_seen()
         if seen is None:

@@ -20,19 +20,20 @@ from pathlib import Path
 
 from ..heatmap.ansi import supports_color
 from ..memsim import PLATFORMS
-from ..workloads.registry import UnknownNameError, resolve_platform
+from ..workloads.registry import (UnknownNameError, positive_int,
+                                   resolve_platform)
 from .engine import DebugEngine
 from .repl import DebugSession
 
 __all__ = ["main"]
 
 
-def _build_platform(name: str, gpu_mem: int):
+def _build_platform(name: str, gpu_mem: int | None):
     try:
         factory = PLATFORMS[resolve_platform(name)]
     except UnknownNameError as exc:
         raise SystemExit(str(exc)) from None
-    if gpu_mem:
+    if gpu_mem is not None:
         return factory(gpu_memory_bytes=gpu_mem)
     return factory()
 
@@ -65,10 +66,10 @@ def main(argv: list[str] | None = None) -> int:
                              " nvlink)")
     parser.add_argument("--entry", default="main",
                         help="entry function (default: main)")
-    parser.add_argument("--gpu-mem", type=int, default=0, metavar="BYTES",
+    parser.add_argument("--gpu-mem", type=positive_int, metavar="BYTES",
                         help="override GPU memory size (small values force"
                              " eviction pressure)")
-    parser.add_argument("--buckets", type=int, default=48,
+    parser.add_argument("--buckets", type=positive_int, default=48,
                         help="heat buckets per allocation (default: 48)")
     parser.add_argument("--dump-source", action="store_true",
                         help="print the (generated) program and exit")

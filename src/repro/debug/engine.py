@@ -105,7 +105,7 @@ class DebugTracer(Tracer):
     def _drive_um(self, addr: int, size: int, is_write: bool,
                   site: SourceSite | None) -> None:
         rt = self._runtime
-        if rt is None or not self.enabled:
+        if rt is None:
             return
         block = self.smt.lookup(addr)
         if block is None:

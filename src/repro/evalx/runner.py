@@ -201,21 +201,24 @@ def _write_heat(name: str, heat: dict[int, tuple[str, HeatStore]],
     """``heat.csv``, ``heat.npz`` and ``report.html`` for each session
     that recorded heat: in ``exp_dir`` when at most one did, else in
     ``exp_dir/session-<n>``, where each report names its own session's
-    platform and leaves the experiment-wide ``metrics`` to
-    ``exp_dir/metrics.prom``."""
+    platform, leaves the experiment-wide ``metrics`` to
+    ``exp_dir/metrics.prom`` and links the experiment's artifacts one
+    directory up."""
     heat = {n: entry for n, entry in heat.items() if len(entry[1])}
+    shared = ("timeline.json", "events.jsonl", "metrics.prom")
     if len(heat) > 1:
-        targets = {exp_dir / f"session-{n}": (platform, store, None)
+        links = ("heat.csv", "heat.npz", *(f"../{a}" for a in shared))
+        targets = {exp_dir / f"session-{n}": (platform, store, None, links)
                    for n, (platform, store) in heat.items()}
     else:
         _, store = next(iter(heat.values()), ("", HeatStore()))
-        targets = {exp_dir: ("(per experiment)", store, metrics)}
-    for out, (platform, store, report_metrics) in targets.items():
+        targets = {exp_dir: ("(per experiment)", store, metrics, shared)}
+    for out, (platform, store, report_metrics, links) in targets.items():
         out.mkdir(exist_ok=True)
         store.write(out)
         (out / "report.html").write_text(build_report(
             workload=name, platform=platform, store=store,
-            metrics=report_metrics))
+            metrics=report_metrics, artifacts=links))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -48,6 +48,9 @@ def _shorten(path: str) -> str:
 #: skip list (custom lists fall back to the direct test).
 _SKIP_CACHE: dict = {}
 
+#: Frames :func:`caller_site` inspects before giving up.
+_MAX_DEPTH = 40
+
 #: (code, line) -> SourceSite memo; sites repeat for every access a given
 #: source line makes, so construction and path shortening run once.
 _SITE_CACHE: dict = {}
@@ -64,17 +67,16 @@ def site_from_frame(frame: FrameType) -> SourceSite:
     return site
 
 
-def caller_site(skip: tuple[str, ...] = SKIP_MODULES,
-                max_depth: int = 40) -> SourceSite | None:
+def caller_site(skip: tuple[str, ...] = SKIP_MODULES) -> SourceSite | None:
     """The first stack frame outside the simulator, as a source site.
 
-    Returns ``None`` when every frame within ``max_depth`` belongs to a
+    Returns ``None`` when every frame within ``_MAX_DEPTH`` belongs to a
     skipped module (e.g. a synthetic access issued by the simulator
     itself).
     """
     frame: FrameType | None = sys._getframe(1)
     cache = _SKIP_CACHE if skip is SKIP_MODULES else None
-    for _ in range(max_depth):
+    for _ in range(_MAX_DEPTH):
         if frame is None:
             return None
         if cache is not None:

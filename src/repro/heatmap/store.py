@@ -59,7 +59,10 @@ class SourceSite:
         return f"{base} ({self.func})" if self.func else base
 
 
-#: Bucket for sites beyond an allocation's ``max_sites`` budget.
+#: Distinct source sites tracked per allocation per epoch; overflow folds
+#: into :data:`OTHER_SITE`.
+MAX_SITES = 32
+#: Bucket for sites beyond an allocation's :data:`MAX_SITES` budget.
 OTHER_SITE = SourceSite("<other>", 0)
 
 
@@ -127,18 +130,15 @@ class AllocationHeat:
     """Heat history of one allocation (open accumulator + closed epochs)."""
 
     __slots__ = ("label", "base", "serial", "size", "nwords", "nbuckets",
-                 "max_sites", "epochs", "_counts", "_sites",
-                 "_starts", "_ends")
+                 "epochs", "_counts", "_sites", "_starts", "_ends")
 
-    def __init__(self, alloc: Allocation, *, nbuckets: int = 64,
-                 max_sites: int = 32) -> None:
+    def __init__(self, alloc: Allocation, *, nbuckets: int = 64) -> None:
         self._init(alloc.label or f"alloc@{alloc.base:#x}", alloc.base,
-                   alloc.serial, alloc.size, nbuckets, max_sites)
+                   alloc.serial, alloc.size, nbuckets)
 
     @classmethod
     def from_meta(cls, label: str, base: int, serial: int, size: int, *,
-                  nbuckets: int = 64,
-                  max_sites: int = 32) -> "AllocationHeat":
+                  nbuckets: int = 64) -> "AllocationHeat":
         """Rebuild a record from serialized geometry (no live allocation).
 
         Used when reconstituting heat from on-disk stream segments
@@ -147,18 +147,17 @@ class AllocationHeat:
         to the live one it mirrors.
         """
         self = cls.__new__(cls)
-        self._init(label, base, serial, size, nbuckets, max_sites)
+        self._init(label, base, serial, size, nbuckets)
         return self
 
     def _init(self, label: str, base: int, serial: int, size: int,
-              nbuckets: int, max_sites: int) -> None:
+              nbuckets: int) -> None:
         self.label = label
         self.base = base
         self.serial = serial
         self.size = size
         self.nwords = max(1, -(-size // WORD_SIZE))
         self.nbuckets = max(1, min(nbuckets, self.nwords))
-        self.max_sites = max_sites
         self.epochs: list[EpochHeat] = []
         self._counts = np.zeros((len(CHANNELS), self.nbuckets), np.int64)
         self._sites: dict[SourceSite, np.ndarray] = {}
@@ -199,7 +198,7 @@ class AllocationHeat:
         if site is not None:
             vec = self._sites.get(site)
             if vec is None:
-                if len(self._sites) >= self.max_sites:
+                if len(self._sites) >= MAX_SITES:
                     site = OTHER_SITE
                     vec = self._sites.get(site)
                 if vec is None:
@@ -290,18 +289,15 @@ class HeatStore:
     """Per-allocation temporal heat for one traced run.
 
     :param nbuckets: word buckets per allocation (spatial resolution).
-    :param max_sites: distinct source sites tracked per allocation per
-        epoch; overflow folds into ``<other>``.
     :param attribute: when a record carries no explicit site, walk the
         Python stack for the first frame outside the simulator (the
         workload line that made the access).  Disable for minimum
         overhead heat-only profiling.
     """
 
-    def __init__(self, *, nbuckets: int = 64, max_sites: int = 32,
+    def __init__(self, *, nbuckets: int = 64,
                  attribute: bool = True) -> None:
         self.nbuckets = nbuckets
-        self.max_sites = max_sites
         self.attribute = attribute
         self.epochs_closed: list[int] = []
         self.records = 0
@@ -316,7 +312,7 @@ class HeatStore:
         heat = self._allocs.get(key)
         if heat is None:
             heat = self._allocs[key] = AllocationHeat(
-                alloc, nbuckets=self.nbuckets, max_sites=self.max_sites)
+                alloc, nbuckets=self.nbuckets)
         return heat
 
     def peek(self, alloc: Allocation) -> AllocationHeat | None:

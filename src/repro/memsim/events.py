@@ -112,17 +112,14 @@ class EventLog:
     the drop listeners, so telemetry can surface the loss.
     """
 
-    def __init__(self, *, keep_events: bool = True, capacity: int = 1_000_000,
+    def __init__(self, *, capacity: int = 1_000_000,
                  ring: bool = False) -> None:
-        """:param keep_events: if False, only counters are kept (cheap mode
-            for large footprint runs).
-        :param capacity: bound on retained events; beyond it the log either
+        """:param capacity: bound on retained events; beyond it the log either
             degrades to counters-only (``ring=False``) or drops the oldest
             events (``ring=True``) rather than exhausting memory.
         :param ring: keep the newest ``capacity`` events instead of the
             oldest.
         """
-        self._keep = keep_events
         self._capacity = capacity
         self._ring = ring
         if ring:
@@ -134,8 +131,7 @@ class EventLog:
         self._listeners: list[Callable[[Event], None]] = []
         self._drop_listeners: list[Callable[[Event], None]] = []
         #: Events that fell out of retention *without* being spilled,
-        #: by kind.  Deliberate counters-only mode (``keep_events=False``)
-        #: retains nothing by design and is not counted here.
+        #: by kind.
         self.dropped: Counter[EventKind] = Counter()
         #: Evict-to-disk sink: when set, overflowed events are handed here
         #: instead of being dropped (and ``dropped`` stays untouched).
@@ -157,19 +153,18 @@ class EventLog:
         self.pages[event.kind] += event.pages
         self.bytes[event.kind] += event.nbytes
         self.costs[event.kind] += event.cost
-        if self._keep:
-            if self._ring:
-                if self._capacity > 0 and len(self._events) >= self._capacity:
-                    self._overflow(self._events[0])
-                self._events.append(event)
-                self._index(event)
-            elif len(self._events) < self._capacity:
-                self._events.append(event)
-                self._index(event)
-            else:
-                # Beyond capacity in oldest-window mode: the event is never
-                # retained -- spill it or count the loss.
-                self._overflow(event)
+        if self._ring:
+            if self._capacity > 0 and len(self._events) >= self._capacity:
+                self._overflow(self._events[0])
+            self._events.append(event)
+            self._index(event)
+        elif len(self._events) < self._capacity:
+            self._events.append(event)
+            self._index(event)
+        else:
+            # Beyond capacity in oldest-window mode: the event is never
+            # retained -- spill it or count the loss.
+            self._overflow(event)
         if self._listeners:
             for cb in tuple(self._listeners):
                 cb(event)
@@ -228,7 +223,7 @@ class EventLog:
 
         Listeners are the live-streaming counterpart of the retained event
         list: the telemetry recorder subscribes here so driver activity can
-        be exported even in counters-only (``keep_events=False``) runs.
+        be exported even when retention has overflowed.
         """
         if callback not in self._listeners:
             self._listeners.append(callback)

@@ -36,7 +36,6 @@ class Platform:
     gpu: DeviceSpec
     link: Link
     um_params: UMCostParams = field(default_factory=UMCostParams)
-    keep_events: bool = True
     #: Host-side cost of issuing one async copy + event sync on a stream
     #: (pageable staging, driver call, event wait).  Markedly higher on
     #: the Power9 stack -- the reason Fig 11's overlap optimization loses
@@ -45,7 +44,7 @@ class Platform:
 
     def __post_init__(self) -> None:
         self.clock = SimClock()
-        self.events = EventLog(keep_events=self.keep_events)
+        self.events = EventLog()
         self.address_space = AddressSpace()
         self.um = UnifiedMemoryDriver(
             self.link, self.gpu.memory_bytes, self.clock, self.events, self.um_params

@@ -74,14 +74,15 @@ _CATEGORY_COLORS = {
     "cpu_read_gpu_origin": "#2ca02c",
     "accessed": "#444444",
 }
+#: SVG cell edge and vertical gap between panels, in pixels.
+_CELL = 6
+_GAP = 24
 
 
 def access_maps_to_svg(
     maps: Sequence[AccessMap],
     *,
     width: int = 64,
-    cell: int = 6,
-    gap: int = 24,
 ) -> str:
     """Render access maps as a standalone SVG document.
 
@@ -89,13 +90,11 @@ def access_maps_to_svg(
     Fig 5/7/8/10 style); untouched words are light grey.
 
     :param width: words per grid row.
-    :param cell: cell edge in pixels.
-    :param gap: vertical gap between panels.
     """
-    if width <= 0 or cell <= 0:
-        raise ValueError("width and cell must be positive")
+    if width <= 0:
+        raise ValueError("width must be positive")
     panels = []
-    y = gap
+    y = _GAP
     max_w = 0
     for amap in maps:
         grid = amap.as_grid(width)
@@ -115,20 +114,20 @@ def access_maps_to_svg(
                     while c < cols and row[c]:
                         c += 1
                     body.append(
-                        f'<rect x="{start * cell}" y="{y + r * cell}" '
-                        f'width="{(c - start) * cell}" height="{cell}" '
+                        f'<rect x="{start * _CELL}" y="{y + r * _CELL}" '
+                        f'width="{(c - start) * _CELL}" height="{_CELL}" '
                         f'fill="{color}"/>'
                     )
                 else:
                     c += 1
-        body.insert(1, f'<rect x="0" y="{y}" width="{cols * cell}" '
-                       f'height="{rows * cell}" fill="#eeeeee" '
+        body.insert(1, f'<rect x="0" y="{y}" width="{cols * _CELL}" '
+                       f'height="{rows * _CELL}" fill="#eeeeee" '
                        f'stroke="#999999" stroke-width="0.5"/>')
         # Keep background behind the runs: background first, runs after.
         background = body.pop(1)
         panels.append(body[0] + background + "".join(body[1:]))
-        y += rows * cell + gap
-        max_w = max(max_w, cols * cell)
+        y += rows * _CELL + _GAP
+        max_w = max(max_w, cols * _CELL)
     svg = io.StringIO()
     svg.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
               f'width="{max_w + 2}" height="{y}">')

@@ -83,11 +83,9 @@ class KernelRecord:
 class Tracer(ObserverBase):
     """Records heap accesses into shadow memory (paper §III-C)."""
 
-    def __init__(self, *, enabled: bool = True,
-                 heat: "HeatStore | None" = None,
+    def __init__(self, *, heat: "HeatStore | None" = None,
                  batch: bool = True) -> None:
         self.smt = ShadowMemoryTable()
-        self.enabled = enabled
         #: Optional access-count heat recorder (off by default; the shadow
         #: memory itself only keeps boolean per-word masks per epoch).
         self.heat = heat
@@ -244,43 +242,40 @@ class Tracer(ObserverBase):
     def traceR(self, addr: int, size: int = 4,
                site: "SourceSite | None" = None) -> int:
         """``const T& traceR(const T&)``: record a read, return the address."""
-        if self.enabled:
-            block = self.smt.lookup(addr)
-            if block is not None:
-                lo, hi = block.word_range(addr - block.alloc.base, size)
-                self._trace_span(block, self.current_proc, KIND_READ, lo, hi)
-                if self.heat is not None:
-                    self.heat.record(block.alloc, self.current_proc,
-                                     is_write=False, lo=lo, hi=hi, site=site)
+        block = self.smt.lookup(addr)
+        if block is not None:
+            lo, hi = block.word_range(addr - block.alloc.base, size)
+            self._trace_span(block, self.current_proc, KIND_READ, lo, hi)
+            if self.heat is not None:
+                self.heat.record(block.alloc, self.current_proc,
+                                 is_write=False, lo=lo, hi=hi, site=site)
         return addr
 
     def traceW(self, addr: int, size: int = 4,
                site: "SourceSite | None" = None) -> int:
         """``T& traceW(T&)``: record a write, return the address."""
-        if self.enabled:
-            block = self.smt.lookup(addr)
-            if block is not None:
-                lo, hi = block.word_range(addr - block.alloc.base, size)
-                self._trace_span(block, self.current_proc, KIND_WRITE, lo, hi)
-                if self.heat is not None:
-                    self.heat.record(block.alloc, self.current_proc,
-                                     is_write=True, lo=lo, hi=hi, site=site)
+        block = self.smt.lookup(addr)
+        if block is not None:
+            lo, hi = block.word_range(addr - block.alloc.base, size)
+            self._trace_span(block, self.current_proc, KIND_WRITE, lo, hi)
+            if self.heat is not None:
+                self.heat.record(block.alloc, self.current_proc,
+                                 is_write=True, lo=lo, hi=hi, site=site)
         return addr
 
     def traceRW(self, addr: int, size: int = 4,
                 site: "SourceSite | None" = None) -> int:
         """``T& traceRW(T&)``: record a read-modify-write, return the address."""
-        if self.enabled:
-            block = self.smt.lookup(addr)
-            if block is not None:
-                lo, hi = block.word_range(addr - block.alloc.base, size)
-                self._trace_span(block, self.current_proc, KIND_RMW, lo, hi)
-                if self.heat is not None:
-                    proc = self.current_proc
-                    self.heat.record(block.alloc, proc, is_write=False,
-                                     lo=lo, hi=hi, site=site)
-                    self.heat.record(block.alloc, proc, is_write=True,
-                                     lo=lo, hi=hi, site=site)
+        block = self.smt.lookup(addr)
+        if block is not None:
+            lo, hi = block.word_range(addr - block.alloc.base, size)
+            self._trace_span(block, self.current_proc, KIND_RMW, lo, hi)
+            if self.heat is not None:
+                proc = self.current_proc
+                self.heat.record(block.alloc, proc, is_write=False,
+                                 lo=lo, hi=hi, site=site)
+                self.heat.record(block.alloc, proc, is_write=True,
+                                 lo=lo, hi=hi, site=site)
         return addr
 
     # ------------------------------------------------------------------ #
@@ -299,17 +294,13 @@ class Tracer(ObserverBase):
     # observer callbacks (the Python-workload path)
 
     def on_alloc(self, alloc: Allocation) -> None:  # noqa: D102
-        if self.enabled:
-            self.trc_register(alloc)
+        self.trc_register(alloc)
 
     def on_free(self, alloc: Allocation) -> None:  # noqa: D102
-        if self.enabled:
-            self.trc_free(alloc)
+        self.trc_free(alloc)
 
     def on_access(self, proc, alloc, byte_offset, elem_size, count,
                   is_write, indices, is_rmw) -> None:  # noqa: D102
-        if not self.enabled:
-            return
         block = self.smt.lookup(alloc.base)
         if block is None:
             return
@@ -342,8 +333,6 @@ class Tracer(ObserverBase):
                                  lo=lo, hi=hi, idx=idx)
 
     def on_memcpy(self, dst, dst_off, src, src_off, nbytes, kind) -> None:  # noqa: D102
-        if not self.enabled:
-            return
         self.flush_trace()
         # Paper §III-C: H2D transfers are recorded as CPU writes of the
         # destination; D2H transfers as CPU reads of the source.
@@ -373,26 +362,23 @@ class Tracer(ObserverBase):
                         src, src_off, nbytes, "D2H", self.epoch))
 
     def on_kernel_launch(self, name: str, grid: int, block: int) -> None:  # noqa: D102
-        if self.enabled:
-            self.flush_trace()
-            self.kernels.append(KernelRecord(name, grid, block, self.epoch))
+        self.flush_trace()
+        self.kernels.append(KernelRecord(name, grid, block, self.epoch))
 
     def on_kernel_complete(self, name: str, grid: int, block: int,
                            duration: float) -> None:  # noqa: D102
-        if self.enabled:
-            self.flush_trace()
+        self.flush_trace()
 
     def on_advice(self, alloc, advice, byte_offset, nbytes, device_id) -> None:  # noqa: D102
-        if self.enabled:
-            self.flush_trace()
-            self.advice.append(AdviceRecord(
-                alloc, advice, byte_offset, nbytes, device_id, self.epoch))
-            state = self._advice_state.setdefault(alloc.base, set())
-            unset = _UNSET_OF.get(advice)
-            if unset is not None:
-                state.discard(unset)
-            else:
-                state.add(advice)
+        self.flush_trace()
+        self.advice.append(AdviceRecord(
+            alloc, advice, byte_offset, nbytes, device_id, self.epoch))
+        state = self._advice_state.setdefault(alloc.base, set())
+        unset = _UNSET_OF.get(advice)
+        if unset is not None:
+            state.discard(unset)
+        else:
+            state.add(advice)
 
     # ------------------------------------------------------------------ #
     # epoch management (driven by diagnostics)
@@ -413,7 +399,6 @@ class Tracer(ObserverBase):
     def describe(self) -> dict:
         """Live description of the tracer: epoch, word and launch counters."""
         return {
-            "enabled": self.enabled,
             "epoch": self.epoch,
             "words_recorded": self.words_recorded,
             "kernels": len(self.kernels),

@@ -17,8 +17,9 @@ Three subcommands cover the spill-and-merge lifecycle::
 ``repro-why`` unchanged.  Corrupt segments and a truncated log tail (a
 shard that crashed mid-write) are skipped with a warning; ``--strict``
 makes them fatal.  Bad input to ``split`` or ``merge`` -- a damaged
-source, a directory with no manifest, ``-k 0`` -- ends in one ``error:``
-line and exit status 1.
+source, a directory with no manifest -- ends in one ``error:`` line and
+exit status 1; a ``-k`` below 1 exits 2 before reading anything, like
+every other count flag.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     p_split.add_argument("src", metavar="DIR", help="source stream directory")
     p_split.add_argument("--out", required=True, metavar="DIR",
                          help="base directory for shard-0..shard-(K-1)")
-    p_split.add_argument("-k", type=int, default=2,
+    p_split.add_argument("-k", type=positive_int, default=2,
                          help="number of shards (default: 2)")
     p_split.set_defaults(func=_cmd_split)
 

@@ -51,7 +51,8 @@ from ..memsim.events import EventLog
 from ..signature.tracker import PhaseTracker
 from ..signature.vector import signature_from_store
 from ..workloads.base import Session, make_session
-from ..workloads.registry import WORKLOADS, Runner, resolve_workload
+from ..workloads.registry import (WORKLOADS, Runner, positive_int,
+                                   resolve_workload)
 
 from .events_jsonl import StringJsonl
 from .recorder import TelemetryRecorder
@@ -216,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="workloads to time")
     parser.add_argument("--platform", default="intel-pascal",
                         help="platform preset (default: intel-pascal)")
-    parser.add_argument("--repeats", type=int, default=3,
+    parser.add_argument("--repeats", type=positive_int, default=3,
                         help="take the best of N interleaved rounds per "
                              "configuration")
     args = parser.parse_args(argv)

@@ -56,6 +56,10 @@ _LINK_SPAN_KINDS = frozenset({
 _DRIVER_INSTANT_KINDS = frozenset({
     EventKind.PAGE_FAULT, EventKind.INVALIDATION, EventKind.PHASE,
 })
+#: Soft cap on timeline events; beyond it new spans/instants are dropped
+#: (counted in ``dropped_timeline_events``) so huge runs still produce
+#: loadable traces.
+MAX_TIMELINE_EVENTS = 200_000
 
 
 @dataclass
@@ -81,35 +85,17 @@ class _SessionHooks:
 class TelemetryRecorder(ObserverBase):
     """Unified metrics + timeline + JSONL recording for simulated runs.
 
-    :param metrics: registry to emit into (default: fresh, ``xplacer_``
-        prefixed).
-    :param timeline: trace builder (default: fresh).
     :param jsonl: structured stream, or ``None`` to skip JSONL output.
-    :param stream_driver_events: write every driver event to the JSONL
-        stream (the metrics/timeline sinks always see them).
-    :param max_timeline_events: soft cap on timeline events; beyond it new
-        spans/instants are dropped (counted in ``dropped_timeline_events``)
-        so huge runs still produce loadable traces.
 
     Access heat is not the recorder's: whoever creates a
     :class:`~repro.heatmap.store.HeatStore` installs it on the tracer
     and writes it (:meth:`~repro.heatmap.store.HeatStore.write`).
     """
 
-    def __init__(
-        self,
-        *,
-        metrics: MetricsRegistry | None = None,
-        timeline: TimelineBuilder | None = None,
-        jsonl: JsonlWriter | None = None,
-        stream_driver_events: bool = True,
-        max_timeline_events: int = 200_000,
-    ) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry("xplacer_")
-        self.timeline = timeline if timeline is not None else TimelineBuilder()
+    def __init__(self, *, jsonl: JsonlWriter | None = None) -> None:
+        self.metrics = MetricsRegistry("xplacer_")
+        self.timeline = TimelineBuilder()
         self.jsonl = jsonl
-        self.stream_driver_events = stream_driver_events
-        self.max_timeline_events = max_timeline_events
         self.dropped_timeline_events = 0
         self._flow_seq = 0
         #: Manifest fields used when the recorder itself has to open the
@@ -266,7 +252,7 @@ class TelemetryRecorder(ObserverBase):
             self.jsonl.write(record)
 
     def _room_in_timeline(self) -> bool:
-        if len(self.timeline) >= self.max_timeline_events:
+        if len(self.timeline) >= MAX_TIMELINE_EVENTS:
             self.dropped_timeline_events += 1
             return False
         return True
@@ -336,8 +322,7 @@ class TelemetryRecorder(ObserverBase):
         if event.cause is not None and drawn_tid is not None:
             hooks.event_points[event.id] = (event.time, drawn_tid)
             self._emit_flows(hooks, event, drawn_tid)
-        if self.stream_driver_events:
-            self._write(encode_driver_event(event))
+        self._write(encode_driver_event(event))
 
     @staticmethod
     def _cause_args(event: Event, args: dict) -> None:

@@ -148,7 +148,7 @@ class TestLowDensity:
         rt, tracer = setup
         v = rt.malloc_managed(64, label="x").typed(np.int32)  # 16 words
         v.write(0, np.zeros(8, np.int32))  # exactly 50%
-        d = diagnose(tracer, density_threshold=0.5)
+        d = diagnose(tracer)
         assert len(d.of(AntiPattern.LOW_ACCESS_DENSITY)) == 1
 
     def test_block_granular_density(self, setup):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 
 from repro.analysis import diagnose
 from repro.evalx.base import ExperimentResult
@@ -113,3 +114,16 @@ class TestTelemetryDir:
             assert "full metrics table" not in html
         assert "kernel_launches_total" in \
             (tab2_dir / "metrics.prom").read_text()
+
+    def test_session_report_artifact_links_resolve(self, tmp_path, capsys):
+        assert main(["tab2", "--telemetry-dir", str(tmp_path),
+                     "--report"]) == 0
+        for n in range(1, len(TAB2_SESSIONS) + 1):
+            session_dir = tmp_path / "tab2" / f"session-{n}"
+            html = (session_dir / "report.html").read_text()
+            listed = html.split("Artifacts: ", 1)[1].split(".</div>", 1)[0]
+            names = re.findall(r"<code>([^<]+)</code>", listed)
+            assert names == ["heat.csv", "heat.npz", "../timeline.json",
+                             "../events.jsonl", "../metrics.prom"]
+            for name in names:
+                assert (session_dir / name).is_file(), name

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.heatmap import store as store_mod
 from repro.heatmap.store import (
     CHANNELS,
     OTHER_SITE,
@@ -128,8 +129,9 @@ class TestAttribution:
         assert top == [(site, 16)]
         assert site.label == "kernel.cu:42 (main)"
 
-    def test_site_overflow_folds_into_other(self, space):
-        heat = AllocationHeat(_alloc(space, 64), nbuckets=2, max_sites=2)
+    def test_site_overflow_folds_into_other(self, space, monkeypatch):
+        monkeypatch.setattr(store_mod, "MAX_SITES", 2)
+        heat = AllocationHeat(_alloc(space, 64), nbuckets=2)
         for i in range(5):
             heat.add(1, 0, 2, site=SourceSite("f.py", i))
         heat.freeze(0)

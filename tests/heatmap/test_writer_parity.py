@@ -20,6 +20,7 @@ import pytest
 from repro.analysis import diagnose
 from repro.analysis.patterns import AntiPattern, Finding
 from repro.heatmap import html
+from repro.heatmap import store as store_mod
 from repro.heatmap.store import (
     CHANNELS,
     OTHER_SITE,
@@ -181,7 +182,8 @@ def _epoch(epoch, counts, sites):
 
 
 @pytest.fixture
-def hand_store():
+def hand_store(monkeypatch):
+    monkeypatch.setattr(store_mod, "MAX_SITES", 2)
     store = HeatStore(nbuckets=4, attribute=False)
     heat = store.adopt(AllocationHeat.from_meta("h<&>", base=4096, serial=1,
                                                 size=4 * 10, nbuckets=4))
@@ -197,8 +199,7 @@ def hand_store():
     ])
     # <other> overflow through the live accumulator
     over = store.adopt(AllocationHeat.from_meta("over", base=8192, serial=2,
-                                                size=4 * 9, nbuckets=4,
-                                                max_sites=2))
+                                                size=4 * 9, nbuckets=4))
     for i, (a, b) in enumerate(((0, 9), (2, 5), (3, 8), (6, 9))):
         over.add(i % 4, a, b, site=SourceSite("s.cu", 10 - i))
     over.add(2, 0, 0, idx=np.array([1, 4, 4, 8]),

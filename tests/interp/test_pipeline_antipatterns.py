@@ -13,8 +13,7 @@ from repro.runtime import trace_print
 def diagnose_interp(it):
     result = trace_print(it.tracer, include_maps=True)
     findings = detect_low_density(result)
-    findings += detect_unnecessary_transfers(result, it.tracer,
-                                             current_epoch_only=False)
+    findings += detect_unnecessary_transfers(result, it.tracer)
     return result, findings
 
 
@@ -117,8 +116,7 @@ class TestCleanProgram:
     def test_no_transfer_findings(self):
         it = run_program(self.SRC)
         result = trace_print(it.tracer, include_maps=True)
-        findings = detect_unnecessary_transfers(result, it.tracer,
-                                                current_epoch_only=False)
+        findings = detect_unnecessary_transfers(result, it.tracer)
         assert findings == []
 
     def test_functional_result(self):

@@ -21,13 +21,6 @@ class TestIds:
         log.clear()
         assert log.record(ev()).id == 0
 
-    def test_counters_only_mode_still_assigns_ids(self):
-        log = EventLog(keep_events=False)
-        assert log.record(ev()).id == 0
-        assert log.record(ev()).id == 1
-        assert len(list(log)) == 0
-        assert len(log) == 2
-
 
 class TestOfKindIndex:
     def test_of_kind_returns_only_that_kind_in_order(self):

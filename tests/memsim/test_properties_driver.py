@@ -22,7 +22,7 @@ NPAGES = 12
 
 def make_driver(gpu_pages=1024):
     drv = UnifiedMemoryDriver(pcie3(), gpu_pages * PAGE_SIZE,
-                              SimClock(), EventLog(keep_events=False))
+                              SimClock(), EventLog())
     space = AddressSpace()
     alloc = space.allocate(NPAGES * PAGE_SIZE, MemoryKind.MANAGED,
                            materialize=False)

@@ -61,14 +61,6 @@ class TestObserverPath:
         assert tracer.kernels[0].name == "k1"
         assert tracer.kernels[0].grid == 4
 
-    def test_disabled_tracer_records_nothing(self):
-        rt = CudaRuntime(intel_pascal())
-        tracer = Tracer(enabled=False)
-        tracer.attach(rt)
-        v = rt.malloc_managed(64, label="x").typed(np.int32)
-        v.write(0, np.zeros(16, np.int32))
-        assert len(tracer.smt) == 0
-
 
 class TestDirectApiPath:
     def test_traceR_returns_address(self, setup):

@@ -347,6 +347,13 @@ class TestCliErrors:
                     tmp_path / "none")
 
     def test_split_into_zero_shards(self, run_dir, tmp_path, capsys):
-        line = self._error(capsys, ["split", str(run_dir), "-k", "0",
-                                    "--out", str(tmp_path / "s")], run_dir)
-        assert "0 shards" in line
+        from repro.stream.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["split", str(run_dir), "-k", "0",
+                  "--out", str(tmp_path / "s")])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument -k: '0' is not a positive integer" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "s").exists()

@@ -9,6 +9,7 @@ from repro.cudart import CudaRuntime, cudaMemcpyKind
 from repro.memsim import PAGE_SIZE, intel_pascal
 from repro.runtime import Tracer
 from repro.telemetry import JsonlWriter, StringJsonl, TelemetryRecorder
+from repro.telemetry import recorder as recorder_mod
 from repro.workloads.base import make_session
 
 H2D = cudaMemcpyKind.cudaMemcpyHostToDevice
@@ -71,9 +72,10 @@ class TestTimelineFanout:
         assert any(e["name"] == "migration" and e["ph"] == "X" for e in events)
         assert any(e["name"] == "page_fault" and e["ph"] == "i" for e in events)
 
-    def test_event_cap_drops_instead_of_growing(self):
+    def test_event_cap_drops_instead_of_growing(self, monkeypatch):
+        monkeypatch.setattr(recorder_mod, "MAX_TIMELINE_EVENTS", 5)
         rt = CudaRuntime(intel_pascal())
-        rec = TelemetryRecorder(max_timeline_events=5)
+        rec = TelemetryRecorder()
         rec.attach(rt)
         baseline = len(rec.timeline)  # process/track metadata from attach
         _fault_once(rt)

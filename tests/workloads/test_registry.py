@@ -174,6 +174,47 @@ def test_top_rejects_bad_values(flag, value, message, tmp_path):
     assert done.stdout == ""
 
 
+#: (module, arguments, expected stderr) for the count flags of commands
+#: outside :data:`FLAG_COMMANDS`; ``{out}`` is a path none may create.
+#: Argument parsing rejects each before any file is read, so
+#: ``prog.cu`` need not exist.  Every one exits 2 with no output.
+OTHER_BAD_FLAGS = [
+    pytest.param(module, [*argv, flag, value],
+                 f"argument {flag}: '{value}' is not a positive integer",
+                 id=f"{command}-{flag}-{value}")
+    for command, module, argv, flag in (
+        ("repro-trace-overhead", "repro.telemetry.overhead", [],
+         "--repeats"),
+        ("repro-debug", "repro.debug", ["prog.cu", "--dump-source"],
+         "--gpu-mem"),
+        ("repro-debug", "repro.debug", ["prog.cu", "--dump-source"],
+         "--buckets"),
+        ("repro-agg split", "repro.stream", ["split", "{out}", "--out",
+                                             "{out}"], "-k"),
+    )
+    for value in ("0", "-5", "many")
+]
+
+
+@pytest.mark.parametrize("module, argv, message", OTHER_BAD_FLAGS)
+def test_other_counts_must_be_positive(module, argv, message, tmp_path):
+    out = tmp_path / "out"
+    done = _cli(module, [a.format(out=out) for a in argv])
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+    assert not out.exists()
+
+
+def test_debug_without_gpu_mem_keeps_the_preset():
+    from repro.debug.cli import _build_platform
+
+    assert _build_platform("pcie", None).gpu.memory_bytes == \
+        PLATFORMS["intel-pascal"]().gpu.memory_bytes
+    assert _build_platform("pcie", 1 << 20).gpu.memory_bytes == 1 << 20
+
+
 def test_report_epoch_never_closed_names_the_closed_range(tmp_path):
     done = _cli("repro.heatmap", ["--workload", "pathfinder", "--out",
                                   str(tmp_path / "out"), "--ansi",
