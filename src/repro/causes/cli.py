@@ -19,7 +19,8 @@ import json
 import sys
 from pathlib import Path
 
-from ..workloads.registry import add_run_arguments, positive_int, run_command
+from ..workloads.registry import (add_run_arguments, non_negative,
+                                  positive_int, run_command)
 
 from .capture import IncompatibleCaptureError, load_report, run_with_causes
 from .diff import diff_reports
@@ -86,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     diff = sub.add_parser("diff", help="compare two captured runs (A vs B)")
     diff.add_argument("run_a", help="baseline run directory")
     diff.add_argument("run_b", help="candidate run directory")
-    diff.add_argument("--threshold", type=float, default=0.05,
+    diff.add_argument("--threshold", type=non_negative, default=0.05,
                       help="relative change considered significant "
                            "(default: 0.05)")
     diff.add_argument("--json", action="store_true",

@@ -1,9 +1,9 @@
 """The causal graph: blame attribution and critical path over driver events.
 
-A :class:`CausalGraph` is built either from a live
-:class:`~repro.memsim.EventLog` or from a parsed ``events.jsonl`` stream
-(schema v2+).  It answers the "why" questions XPlacer's diagnostics stop
-short of:
+A :class:`CausalGraph` is built from ``events.jsonl`` records (schema
+v2+), parsed from a stream or encoded from a live event log with
+:func:`~repro.telemetry.events_jsonl.encode_driver_event`.  It answers
+the "why" questions XPlacer's diagnostics stop short of:
 
 * **blame rollups** -- simulated cost / bytes / pages attributed to the
   source site, allocation, kernel and anti-pattern *category* that caused
@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
-
-from ..memsim import EventLog
 
 __all__ = ["CausalGraph", "CEvent", "REPORT_VERSION"]
 
@@ -101,23 +99,6 @@ class CausalGraph:
 
     # ------------------------------------------------------------------ #
     # construction
-
-    @classmethod
-    def from_log(cls, log: EventLog,
-                 alloc_sites: Mapping[str, str] | None = None) -> "CausalGraph":
-        """Build from a live event log (events recorded with causes)."""
-        events = []
-        for ev in log:
-            c = ev.cause
-            events.append(CEvent(
-                id=ev.id, kind=ev.kind.value, time=ev.time,
-                proc=ev.device.name, pages=ev.pages, nbytes=ev.nbytes,
-                cost=ev.cost, detail=ev.detail,
-                site=c.site if c else "", kernel=c.kernel if c else "",
-                api=c.api if c else "", alloc=c.alloc if c else "",
-                parent=c.parent if c else -1,
-            ))
-        return cls(events, alloc_sites)
 
     @classmethod
     def from_records(cls, records: Iterable[Mapping[str, Any]]) -> "CausalGraph":

@@ -12,7 +12,7 @@ from .cupti import KernelProfile, KernelProfiler
 from .errors import CudaError, cudaError_t
 from .kernel import KernelContext, LaunchConfig
 from .memory import ArrayView, DevicePtr
-from .observer import AccessObserver, ObserverBase
+from .observer import ObserverBase
 
 __all__ = [
     "cudaMemcpyKind",
@@ -26,6 +26,5 @@ __all__ = [
     "LaunchConfig",
     "ArrayView",
     "DevicePtr",
-    "AccessObserver",
     "ObserverBase",
 ]

@@ -42,7 +42,7 @@ from .advice import cudaMemcpyKind, cudaMemoryAdvise
 from .errors import CudaError, cudaError_t
 from .kernel import KernelContext, LaunchConfig
 from .memory import ArrayView, DevicePtr
-from .observer import AccessObserver, overriders
+from .observer import ObserverBase, overriders
 
 __all__ = ["CudaRuntime"]
 
@@ -62,7 +62,7 @@ class CudaRuntime:
     def __init__(self, platform: Platform, *, materialize: bool = True) -> None:
         self.platform = platform
         self.materialize = materialize
-        self.observers: list[AccessObserver] = []
+        self.observers: list[ObserverBase] = []
         self.current_proc: Processor = Processor.CPU
         self._accessors: int = 1
         self._kernel_depth = 0
@@ -76,18 +76,19 @@ class CudaRuntime:
     # ------------------------------------------------------------------ #
     # causal blame (only active while the driver has track_causes set)
 
-    def _blame(self, api: str, alloc: Allocation | None = None) -> None:
+    def _blame(self, api: str, alloc: Allocation | None = None,
+               site: str = "") -> None:
         """Fill the driver's blame context before entering it.
 
         Called on every UM entry point but returns immediately unless the
         driver is tracking causes, so plain runs pay one attribute load
-        and a branch.
+        and a branch.  A caller that knows its own ``site`` passes it;
+        otherwise, with ``blame_sites`` on, the Python caller is looked up.
         """
         um = self.platform.um
         if not um.track_causes:
             return
-        site = ""
-        if um.blame_sites:
+        if not site and um.blame_sites:
             from ..heatmap.attribution import caller_site
             s = caller_site()
             if s is not None:
@@ -113,7 +114,7 @@ class CudaRuntime:
     # ------------------------------------------------------------------ #
     # observers
 
-    def subscribe(self, observer: AccessObserver) -> None:
+    def subscribe(self, observer: ObserverBase) -> None:
         """Attach an observer (e.g. the XPlacer tracer); idempotent.
 
         Publishing always iterates a snapshot of the observer list, so an
@@ -124,7 +125,7 @@ class CudaRuntime:
             self.observers.append(observer)
             self._rebuild_fanout()
 
-    def unsubscribe(self, observer: AccessObserver) -> None:
+    def unsubscribe(self, observer: ObserverBase) -> None:
         """Detach a previously attached observer."""
         if observer in self.observers:
             self.observers.remove(observer)
@@ -457,12 +458,17 @@ class CudaRuntime:
         is_write: bool,
         indices: np.ndarray | None,
         is_rmw: bool,
+        site: str = "",
     ) -> None:
-        """Charge, simulate and publish one (possibly vectorized) access."""
+        """Charge, simulate and publish one (possibly vectorized) access.
+
+        :param site: blame site of the access when causes are tracked
+            (the debugger passes the interpreted source line).
+        """
         proc = self.current_proc
         nbytes = count * elem_size
 
-        self._blame("access", alloc)
+        self._blame("access", alloc, site)
         if indices is None:
             out = self.platform.um.access_bytes(
                 alloc, byte_offset, nbytes, proc,

@@ -16,7 +16,7 @@ import io
 from collections import defaultdict
 from dataclasses import dataclass
 
-from ..memsim import EventKind, Platform
+from ..memsim import Platform
 
 from .observer import ObserverBase
 
@@ -58,7 +58,8 @@ class KernelProfiler(ObserverBase):
     # observer callbacks
 
     def on_kernel_launch(self, name: str, grid: int, block: int) -> None:  # noqa: D102
-        self._pending.append((name, grid, block, self._snapshot()))
+        self._pending.append((name, grid, block,
+                              self.platform.events.summary()))
 
     def on_kernel_complete(self, name: str, grid: int, block: int,
                            duration: float) -> None:  # noqa: D102
@@ -73,7 +74,7 @@ class KernelProfiler(ObserverBase):
         else:
             i = 0
         lname, lgrid, lblock, before = self._pending.pop(i)
-        after = self._snapshot()
+        after = self.platform.events.summary()
         delta = {k: after[k] - before[k] for k in after}
         self._launches += 1
         self.profiles.append(KernelProfile(
@@ -89,17 +90,6 @@ class KernelProfiler(ObserverBase):
             evicted_pages=int(delta["evicted_pages"]),
             memory_time=delta["memory_time"],
         ))
-
-    def _snapshot(self) -> dict:
-        log = self.platform.events
-        return {
-            "fault_groups": log.fault_groups,
-            "migrated_pages": log.migrated_pages,
-            "duplicated_pages": log.pages[EventKind.DUPLICATION],
-            "remote_accesses": log.counts[EventKind.REMOTE_ACCESS],
-            "evicted_pages": log.pages[EventKind.EVICTION],
-            "memory_time": log.total_cost(),
-        }
 
     # ------------------------------------------------------------------ #
     # aggregation

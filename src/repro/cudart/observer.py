@@ -11,7 +11,7 @@ instrumented source, exactly like the paper.)
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,13 +20,7 @@ from ..memsim import Allocation, Processor
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .advice import cudaMemcpyKind, cudaMemoryAdvise
 
-__all__ = ["AccessObserver", "ObserverBase", "CALLBACK_NAMES", "overriders"]
-
-#: Every callback the runtime publishes (one fan-out list is kept per name).
-CALLBACK_NAMES = (
-    "on_alloc", "on_free", "on_access", "on_memcpy",
-    "on_kernel_launch", "on_kernel_complete", "on_advice",
-)
+__all__ = ["ObserverBase", "overriders"]
 
 
 def overriders(observers, name: str) -> tuple:
@@ -45,9 +39,11 @@ def overriders(observers, name: str) -> tuple:
     )
 
 
-@runtime_checkable
-class AccessObserver(Protocol):
-    """What a subscriber to the simulated CUDA runtime must implement."""
+class ObserverBase:
+    """What a subscriber to the simulated CUDA runtime implements.
+
+    Every callback is a no-op here; subclass and override what you need.
+    """
 
     def on_alloc(self, alloc: Allocation) -> None:
         """A heap allocation (host, device or managed) was created."""
@@ -94,30 +90,3 @@ class AccessObserver(Protocol):
     def on_advice(self, alloc: Allocation, advice: "cudaMemoryAdvise",
                   byte_offset: int, nbytes: int, device_id: int) -> None:
         """``cudaMemAdvise`` was applied to a range."""
-
-
-class ObserverBase:
-    """No-op implementation; subclass and override what you need."""
-
-    def on_alloc(self, alloc: Allocation) -> None:  # noqa: D102
-        pass
-
-    def on_free(self, alloc: Allocation) -> None:  # noqa: D102
-        pass
-
-    def on_access(self, proc, alloc, byte_offset, elem_size, count,
-                  is_write, indices, is_rmw) -> None:  # noqa: D102
-        pass
-
-    def on_memcpy(self, dst, dst_off, src, src_off, nbytes, kind) -> None:  # noqa: D102
-        pass
-
-    def on_kernel_launch(self, name: str, grid: int, block: int) -> None:  # noqa: D102
-        pass
-
-    def on_kernel_complete(self, name: str, grid: int, block: int,
-                           duration: float) -> None:  # noqa: D102
-        pass
-
-    def on_advice(self, alloc, advice, byte_offset, nbytes, device_id) -> None:  # noqa: D102
-        pass

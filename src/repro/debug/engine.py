@@ -54,6 +54,7 @@ from ..memsim import (
     Processor,
 )
 from ..runtime import Tracer
+from ..telemetry.events_jsonl import encode_driver_event
 
 __all__ = ["DebugEngine", "DebugQuit", "DebugTracer", "StopInfo"]
 
@@ -102,8 +103,8 @@ class DebugTracer(Tracer):
             hook(alloc)
         return block
 
-    def _drive_um(self, addr: int, size: int, is_write: bool,
-                  site: SourceSite | None) -> None:
+    def _drive_um(self, addr: int, size: int, site: SourceSite | None, *,
+                  is_write: bool, is_rmw: bool = False) -> None:
         rt = self._runtime
         if rt is None:
             return
@@ -113,32 +114,20 @@ class DebugTracer(Tracer):
         alloc = block.alloc
         if alloc.kind is not MemoryKind.MANAGED:
             return
-        um = rt.platform.um
-        if um.track_causes:
-            um.blame.set(site=site.label if site else "",
-                         kernel=rt._current_kernel, api="access",
-                         alloc=alloc.label or "")
-        out = um.access_bytes(alloc, addr - alloc.base, size,
-                              rt.current_proc, is_write=is_write,
-                              accessors=rt._accessors)
-        if out.cost:
-            # Same cost attribution as the observer path: kernel-side
-            # memory time folds into the launch, host-side advances now.
-            if rt._kernel_depth > 0:
-                rt._kernel_mem_cost += out.cost
-            else:
-                rt.platform.clock.advance(out.cost)
+        rt.record_access(alloc, addr - alloc.base, size, 1,
+                         is_write=is_write, indices=None, is_rmw=is_rmw,
+                         site=site.label if site else "")
 
     def traceR(self, addr: int, size: int = 4, site=None) -> int:
-        self._drive_um(addr, size, False, site)
+        self._drive_um(addr, size, site, is_write=False)
         return super().traceR(addr, size, site)
 
     def traceW(self, addr: int, size: int = 4, site=None) -> int:
-        self._drive_um(addr, size, True, site)
+        self._drive_um(addr, size, site, is_write=True)
         return super().traceW(addr, size, site)
 
     def traceRW(self, addr: int, size: int = 4, site=None) -> int:
-        self._drive_um(addr, size, True, site)
+        self._drive_um(addr, size, site, is_write=True, is_rmw=True)
         return super().traceRW(addr, size, site)
 
 
@@ -462,7 +451,10 @@ class DebugEngine:
 
     def graph(self) -> CausalGraph:
         """A fresh causal graph over the run's events so far."""
-        return CausalGraph.from_log(self.log, self.alloc_sites)
+        records = [{"type": "alloc", "label": label, "site": site}
+                   for label, site in self.alloc_sites.items()]
+        records.extend(encode_driver_event(ev) for ev in self.log)
+        return CausalGraph.from_records(records)
 
     def _pick_event(self, graph: CausalGraph, spec: str):
         spec = spec.strip() or "last"

@@ -46,20 +46,6 @@ def _levels(row: np.ndarray, peak: int, nlevels: int) -> np.ndarray:
     return np.clip(lev, 0, nlevels - 1)
 
 
-def _strip(row: np.ndarray, peak: int, color: bool) -> str:
-    if color:
-        lev = _levels(row, peak, len(ANSI_RAMP) + 1)
-        cells = []
-        for v in lev:
-            if v == 0:
-                cells.append(" ")
-            else:
-                cells.append(f"\x1b[48;5;{ANSI_RAMP[v - 1]}m \x1b[49m")
-        return "".join(cells) + _RESET
-    lev = _levels(row, peak, len(ASCII_RAMP))
-    return "".join(ASCII_RAMP[v] for v in lev)
-
-
 def render_strip(row: np.ndarray, peak: int, *, color: bool = False) -> str:
     """One bucket row as an intensity strip (public single-row renderer).
 
@@ -67,7 +53,13 @@ def render_strip(row: np.ndarray, peak: int, *, color: bool = False) -> str:
     consumers that render live (not yet frozen) heat -- the interactive
     debugger's ``heat`` command and the stream monitor.
     """
-    return _strip(row, peak, color)
+    if color:
+        lev = _levels(row, peak, len(ANSI_RAMP) + 1)
+        cells = [f"\x1b[48;5;{ANSI_RAMP[v - 1]}m \x1b[49m" if v else " "
+                 for v in lev]
+        return "".join(cells) + _RESET
+    lev = _levels(row, peak, len(ASCII_RAMP))
+    return "".join(ASCII_RAMP[v] for v in lev)
 
 
 def render_alloc(heat: AllocationHeat, *, color: bool = False,
@@ -86,8 +78,8 @@ def render_alloc(heat: AllocationHeat, *, color: bool = False,
     for e in heat.epochs:
         if epoch is not None and e.epoch != epoch:
             continue
-        out.write(f"  e{e.epoch:<4d}|{_strip(e.heat, peak, color)}"
-                  f"| {e.total}\n")
+        strip = render_strip(e.heat, peak, color=color)
+        out.write(f"  e{e.epoch:<4d}|{strip}| {e.total}\n")
     if sites:
         region = heat.hottest_region(k_sites=sites)
         if region is not None and region["sites"]:

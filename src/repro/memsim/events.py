@@ -98,35 +98,22 @@ class Event:
 class EventLog:
     """Append-only sequence of :class:`Event` with aggregate counters.
 
-    Retention: with ``ring=False`` (default) the log stops retaining
-    events beyond ``capacity`` and degrades to counters-only, preserving
-    the oldest window.  With ``ring=True`` the log keeps the *most recent*
-    ``capacity`` events instead (plus up to ``capacity`` per kind in the
-    kind index), so unbounded runs can stream forever at a fixed
-    footprint.  Aggregate counters always cover the full run either way.
+    Retention: the log keeps the most recent ``capacity`` events, so
+    unbounded runs can stream forever at a fixed footprint.  Aggregate
+    counters always cover the full run.
 
-    Overflow is never silent: every event that falls out of retention --
-    a ring eviction or a non-ring record beyond ``capacity`` -- is either
-    handed to the :attr:`spill` sink (evict-to-disk, see
+    Overflow is never silent: every event that falls out of retention is
+    either handed to the :attr:`spill` sink (evict-to-disk, see
     :mod:`repro.stream`) or counted in :attr:`dropped` and announced to
     the drop listeners, so telemetry can surface the loss.
     """
 
-    def __init__(self, *, capacity: int = 1_000_000,
-                 ring: bool = False) -> None:
-        """:param capacity: bound on retained events; beyond it the log either
-            degrades to counters-only (``ring=False``) or drops the oldest
-            events (``ring=True``) rather than exhausting memory.
-        :param ring: keep the newest ``capacity`` events instead of the
-            oldest.
+    def __init__(self, *, capacity: int = 1_000_000) -> None:
+        """:param capacity: bound on retained events; beyond it the oldest
+            events fall out rather than exhausting memory.
         """
         self._capacity = capacity
-        self._ring = ring
-        if ring:
-            self._events: deque[Event] | list[Event] = deque(maxlen=capacity)
-        else:
-            self._events = []
-        self._by_kind: dict[EventKind, deque[Event] | list[Event]] = {}
+        self._events: deque[Event] = deque(maxlen=capacity)
         self._next_id = 0
         self._listeners: list[Callable[[Event], None]] = []
         self._drop_listeners: list[Callable[[Event], None]] = []
@@ -153,29 +140,14 @@ class EventLog:
         self.pages[event.kind] += event.pages
         self.bytes[event.kind] += event.nbytes
         self.costs[event.kind] += event.cost
-        if self._ring:
-            if self._capacity > 0 and len(self._events) >= self._capacity:
-                self._overflow(self._events[0])
-            self._events.append(event)
-            self._index(event)
-        elif len(self._events) < self._capacity:
-            self._events.append(event)
-            self._index(event)
-        else:
-            # Beyond capacity in oldest-window mode: the event is never
-            # retained -- spill it or count the loss.
-            self._overflow(event)
+        if len(self._events) >= self._capacity:
+            # Full: the oldest event (or, at capacity 0, this one) leaves.
+            self._overflow(self._events[0] if self._events else event)
+        self._events.append(event)
         if self._listeners:
             for cb in tuple(self._listeners):
                 cb(event)
         return event
-
-    def _index(self, event: Event) -> None:
-        index = self._by_kind.get(event.kind)
-        if index is None:
-            index = deque(maxlen=self._capacity) if self._ring else []
-            self._by_kind[event.kind] = index
-        index.append(event)
 
     def _overflow(self, victim: Event) -> None:
         """Route one event falling out of retention (spill or drop)."""
@@ -186,33 +158,18 @@ class EventLog:
         for cb in tuple(self._drop_listeners):
             cb(victim)
 
-    def configure_retention(self, *, capacity: int | None = None,
-                            ring: bool | None = None) -> None:
+    def configure_retention(self, *, capacity: int) -> None:
         """Re-bound retention in place (streaming runs shrink the window).
 
         Already-retained events beyond the new bound are routed through
         the normal overflow path (spilled or counted as dropped), never
         silently discarded.  Counters and the id sequence are untouched.
         """
-        if capacity is not None:
-            self._capacity = max(0, int(capacity))
-        if ring is not None:
-            self._ring = bool(ring)
+        self._capacity = max(0, int(capacity))
         retained = list(self._events)
-        overflow: list[Event] = []
-        if self._capacity and len(retained) > self._capacity:
-            if self._ring:
-                overflow = retained[:-self._capacity]
-                retained = retained[-self._capacity:]
-            else:
-                overflow = retained[self._capacity:]
-                retained = retained[:self._capacity]
-        self._events = deque(retained, maxlen=self._capacity or None) \
-            if self._ring else retained
-        self._by_kind.clear()
-        for event in retained:
-            self._index(event)
-        for event in overflow:
+        cut = max(0, len(retained) - self._capacity)
+        self._events = deque(retained[cut:], maxlen=self._capacity)
+        for event in retained[:cut]:
             self._overflow(event)
 
     # ------------------------------------------------------------------ #
@@ -259,10 +216,6 @@ class EventLog:
     def __iter__(self) -> Iterator[Event]:
         return iter(self._events)
 
-    def of_kind(self, kind: EventKind) -> list[Event]:
-        """All retained events of ``kind`` in order (O(k) via the index)."""
-        return list(self._by_kind.get(kind, ()))
-
     @property
     def fault_groups(self) -> int:
         """Number of page-fault groups recorded so far."""
@@ -276,17 +229,6 @@ class EventLog:
     def total_cost(self) -> float:
         """Simulated seconds charged across all memory-system events."""
         return sum(self.costs.values())
-
-    def clear(self) -> None:
-        """Drop all events, counters and the id sequence."""
-        self._events.clear()
-        self._by_kind.clear()
-        self._next_id = 0
-        self.counts.clear()
-        self.pages.clear()
-        self.bytes.clear()
-        self.dropped.clear()
-        self.costs = {k: 0.0 for k in EventKind}
 
     def summary(self) -> dict[str, float]:
         """Compact dict of headline statistics (used by reports/tests)."""

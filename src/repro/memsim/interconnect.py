@@ -38,15 +38,6 @@ class LinkStats:
     remote_bytes: int = 0
     remote_time: float = 0.0
 
-    def reset(self) -> None:
-        """Zero all counters (between independent runs)."""
-        self.transfers = 0
-        self.transfer_bytes = 0
-        self.transfer_time = 0.0
-        self.remote_accesses = 0
-        self.remote_bytes = 0
-        self.remote_time = 0.0
-
     def as_dict(self) -> dict[str, float]:
         """Flat mapping for metric emission."""
         return {

@@ -13,13 +13,12 @@ from .diagnostics import (
     trace_print,
 )
 from .export import (
-    access_maps_to_svg,
     epochs_to_csv,
     kernels_to_csv,
     transfers_to_csv,
 )
 from .flags import WORD_SIZE
-from .report import format_csv, format_text
+from .report import format_text
 from .shadow import AccessCounts, ShadowBlock
 from .smt import LINEAR_SEARCH_LIMIT, ShadowMemoryTable
 from .tracer import AdviceRecord, KernelRecord, Tracer, TransferRecord
@@ -34,11 +33,9 @@ __all__ = [
     "DiagnosticResult",
     "trace_print",
     "WORD_SIZE",
-    "access_maps_to_svg",
     "epochs_to_csv",
     "kernels_to_csv",
     "transfers_to_csv",
-    "format_csv",
     "format_text",
     "AccessCounts",
     "ShadowBlock",

@@ -1,4 +1,4 @@
-"""Textual and CSV renderings of diagnostic results.
+"""Textual rendering of diagnostic results.
 
 :func:`format_text` reproduces the layout of the paper's Fig 4:
 
@@ -12,8 +12,8 @@
     access density (in %): 9
     18 elements with alternating accesses
 
-:func:`format_csv` emits "raw comma-separated files for further
-processing", the paper's second output form.
+The paper's second output form, "raw comma-separated files for further
+processing", is :func:`repro.runtime.export.epochs_to_csv`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import io
 
 from .diagnostics import AllocationReport, DiagnosticResult
 
-__all__ = ["format_text", "format_csv"]
+__all__ = ["format_text"]
 
 _COLS = ("C", "G", "C>C", "C>G", "G>C", "G>G")
 
@@ -48,21 +48,4 @@ def format_text(result: DiagnosticResult) -> str:
             sites = ", ".join(f"{label} x{n}" for label, n in r.hot_sites)
             out.write(f"hot sites: {sites}\n")
         out.write("\n")
-    return out.getvalue()
-
-
-def format_csv(result: DiagnosticResult) -> str:
-    """One row per allocation: counters plus density and alternating."""
-    out = io.StringIO()
-    out.write("epoch,name,size,kind,freed,"
-              "cpu_writes,gpu_writes,read_cc,read_cg,read_gc,read_gg,"
-              "accessed_words,total_words,density_pct,alternating\n")
-    for r in result.reports:
-        c = r.counts
-        out.write(
-            f"{result.epoch},{r.name},{r.alloc.size},{r.alloc.kind.value},"
-            f"{int(r.freed)},{c.cpu_written},{c.gpu_written},"
-            f"{c.read_cc},{c.read_cg},{c.read_gc},{c.read_gg},"
-            f"{c.accessed_words},{c.total_words},{r.density_pct},{r.alternating}\n"
-        )
     return out.getvalue()

@@ -20,6 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 
 from .index import DEFAULT_MATCH_THRESHOLD, SignatureIndex
@@ -27,6 +29,26 @@ from .phases import DEFAULT_THRESHOLD
 from .vector import RunSignature, run_similarity, signature_from_npz
 
 __all__ = ["main", "compute_signature"]
+
+#: What a missing or damaged ``signature.json``, ``heat.npz`` or
+#: ``index.json`` raises while it is read.
+_READ_ERRORS = (OSError, ValueError, KeyError, TypeError,
+                zipfile.BadZipFile)
+
+
+class _BadInput(Exception):
+    """An input that could not be read; :func:`main` exits 2 on it."""
+
+
+@contextmanager
+def _reading(path: str | Path):
+    """Turn a failure to read ``path`` into one :class:`_BadInput`."""
+    try:
+        yield
+    except _READ_ERRORS as exc:
+        where = getattr(exc, "filename", None) or path
+        reason = getattr(exc, "strerror", None) or str(exc)
+        raise _BadInput(f"cannot read {where}: {reason}") from None
 
 
 def compute_signature(workload: str, platform: str, *, buckets: int = 64,
@@ -48,7 +70,8 @@ def _load_signature(path: str | Path) -> RunSignature:
     p = Path(path)
     if p.is_dir():
         p = p / "signature.json"
-    return RunSignature.load(p)
+    with _reading(p):
+        return RunSignature.load(p)
 
 
 def _render_signature(sig: RunSignature) -> str:
@@ -88,9 +111,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if args.npz:
         from ..workloads.registry import resolve_platform
 
-        sig = signature_from_npz(args.npz, workload=args.workload or "",
-                                 platform=resolve_platform(args.platform),
-                                 phase_threshold=args.phase_threshold)
+        platform = resolve_platform(args.platform)
+        with _reading(args.npz):
+            sig = signature_from_npz(args.npz, workload=args.workload or "",
+                                     platform=platform,
+                                     phase_threshold=args.phase_threshold)
     elif not args.workload:
         print("compute needs --workload or --npz", file=sys.stderr)
         return 2
@@ -129,8 +154,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_match(args: argparse.Namespace) -> int:
     sig = _load_signature(args.query)
-    index = SignatureIndex(args.index)
-    report = index.match(sig, threshold=args.threshold, k=args.k)
+    with _reading(Path(args.index) / "index.json"):
+        index = SignatureIndex(args.index)
+        report = index.match(sig, threshold=args.threshold, k=args.k)
     if args.add:
         index.add(args.add, sig)
         report["added"] = args.add
@@ -155,7 +181,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro-sig`` / ``python -m repro.signature``."""
-    from ..workloads.registry import add_run_arguments, run_command
+    from ..workloads.registry import (add_run_arguments, non_negative,
+                                      positive_int, run_command)
 
     parser = argparse.ArgumentParser(
         prog="repro-sig",
@@ -172,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="rebuild the signature from a heat.npz artifact "
                         "instead of replaying (works on merged shard "
                         "bundles too)")
-    p.add_argument("--phase-threshold", type=float,
+    p.add_argument("--phase-threshold", type=non_negative,
                    default=DEFAULT_THRESHOLD,
                    help=f"phase change-point cosine distance "
                         f"(default: {DEFAULT_THRESHOLD})")
@@ -196,11 +223,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("query", help="signature.json (or directory holding one)")
     p.add_argument("--index", required=True, metavar="DIR",
                    help="signature index directory (created on --add)")
-    p.add_argument("--threshold", type=float,
+    p.add_argument("--threshold", type=non_negative,
                    default=DEFAULT_MATCH_THRESHOLD,
                    help=f"match threshold "
                         f"(default: {DEFAULT_MATCH_THRESHOLD})")
-    p.add_argument("--k", type=int, default=5,
+    p.add_argument("--k", type=positive_int, default=5,
                    help="neighbors to report (default: 5)")
     p.add_argument("--add", metavar="NAME",
                    help="also store the query under NAME")
@@ -208,7 +235,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_match)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

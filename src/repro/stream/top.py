@@ -35,7 +35,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..heatmap.ansi import ANSI_RAMP, ASCII_RAMP, _levels, supports_color
+from ..heatmap.ansi import render_strip, supports_color
 from ..workloads.registry import non_negative, positive_int
 
 from .segments import (
@@ -48,7 +48,6 @@ from .segments import (
 __all__ = ["Monitor", "main"]
 
 _CLEAR = "\x1b[H\x1b[2J"
-_RESET = "\x1b[0m"
 
 #: Rollup summary keys shown in the counters panel, with short labels.
 _SUMMARY_ROWS = (
@@ -82,13 +81,7 @@ def _strip(row: np.ndarray, peak: int, color: bool, width: int) -> str:
         edges = (np.arange(width + 1) * len(row)) // width
         row = np.add.reduceat(row, edges[:-1])
         peak = max(peak, int(row.max()) if row.size else 0)
-    if color:
-        lev = _levels(row, peak, len(ANSI_RAMP) + 1)
-        cells = [f"\x1b[48;5;{ANSI_RAMP[v - 1]}m \x1b[49m" if v else " "
-                 for v in lev]
-        return "".join(cells) + _RESET
-    lev = _levels(row, peak, len(ASCII_RAMP))
-    return "".join(ASCII_RAMP[v] for v in lev)
+    return render_strip(row, peak, color=color)
 
 
 class _ShardView:

@@ -173,7 +173,7 @@ def execute(spec: RunSpec) -> Execution:
     if stream:
         from ..stream.spill import StreamSpiller
 
-        events.configure_retention(capacity=spec.log_capacity, ring=True)
+        events.configure_retention(capacity=spec.log_capacity)
         spiller = StreamSpiller(
             out, shard=spec.shard, workload=spec.workload, platform=preset,
             config=_config(spec, preset, mini),

@@ -197,10 +197,10 @@ class TestInspection:
         assert captured[0] == 3
 
     def test_explain_matches_shared_chain_renderer(self):
-        from repro.causes import CausalGraph, render_chain
+        from repro.causes import render_chain
         engine = DebugEngine(PINGPONG)
         engine.run()
-        graph = CausalGraph.from_log(engine.log, engine.alloc_sites)
+        graph = engine.graph()
         ev = max(graph.events, key=lambda e: (e.cost, e.id))
         expected = render_chain(graph.chain(ev.id))
         lines = engine.explain_lines(str(ev.id))

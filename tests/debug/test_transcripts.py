@@ -1,5 +1,6 @@
 """Golden scripted-session tests: transcripts, determinism, blame parity."""
 
+import hashlib
 import io
 from pathlib import Path
 
@@ -115,6 +116,50 @@ class TestDeterminism:
             outs.append(t.read_bytes())
         assert outs[0] == outs[1]
         assert b"entering gather_kernel<<<" in outs[0]
+
+
+#: The spatter session the CI debug job scripts.
+SPATTER_SCRIPT = """\
+break kernel gather_kernel
+watch idx
+run
+info allocs
+delete 2
+continue
+res data
+explain last
+continue
+quit
+"""
+
+
+class TestPinnedTranscripts:
+    """sha256 of the two scripted CLI sessions, byte for byte.
+
+    Determinism alone (two runs agree) would not notice a change that
+    alters both runs the same way; these digests pin the exact bytes.
+    """
+
+    def _digest(self, tmp_path, argv):
+        out = tmp_path / "transcript.txt"
+        assert main(argv + ["--transcript", str(out)]) == 0
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    def test_pathfinder_pingpong_transcript(self, tmp_path):
+        assert self._digest(tmp_path, [
+            str(REPO / "examples" / "pathfinder_pingpong.cu"),
+            "--script", str(REPO / "examples" / "debug_pingpong.txt"),
+        ]) == ("2117fb18a3e9b6f17abbd235f6b1f06b"
+               "e6188eed0ffdeb450a426bc21b0307f0")
+
+    def test_spatter_indirect_transcript(self, tmp_path):
+        cmds = tmp_path / "cmds.txt"
+        cmds.write_text(SPATTER_SCRIPT)
+        assert self._digest(tmp_path, [
+            "--spatter", str(REPO / "examples" / "spatter_indirect.json"),
+            "--script", str(cmds),
+        ]) == ("9da3c950127891119b2d1fdecaaa17a3"
+               "9fa3ee59d98de3c40d4f1543bc4cc870")
 
 
 class TestBlameParity:

@@ -113,7 +113,7 @@ class TestEvictionEvent:
         b = managed(space, drv, npages=4, label="b")
         drv.access(a, 0, 4, GPU, is_write=True)
         drv.access(b, 0, 4, GPU, is_write=True)
-        evictions = log.of_kind(EventKind.EVICTION)
+        evictions = [e for e in log if e.kind is EventKind.EVICTION]
         assert len(evictions) == 1
         ev = evictions[0]
         assert ev.pages == 4
@@ -139,9 +139,9 @@ class TestEvictionEvent:
         b = managed(space, drv, npages=4, label="b")
         drv.access(a, 0, 4, GPU, is_write=True)
         drv.access(b, 0, 4, GPU, is_write=True)   # evicts a
-        eviction = log.of_kind(EventKind.EVICTION)[-1]
+        eviction = [e for e in log if e.kind is EventKind.EVICTION][-1]
         drv.access(a, 0, 4, GPU, is_write=False)  # oversubscription refault
-        refault = log.of_kind(EventKind.PAGE_FAULT)[-1]
+        refault = [e for e in log if e.kind is EventKind.PAGE_FAULT][-1]
         assert refault.cause is not None
         assert refault.cause.parent == eviction.id
 

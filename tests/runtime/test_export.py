@@ -1,6 +1,4 @@
-"""Tests for the CSV/SVG export module."""
-
-import xml.etree.ElementTree as ET
+"""Tests for the CSV export module."""
 
 import numpy as np
 import pytest
@@ -8,9 +6,7 @@ import pytest
 from repro.cudart import CudaRuntime, cudaMemcpyKind
 from repro.memsim import intel_pascal
 from repro.runtime import (
-    AccessMap,
     Tracer,
-    access_maps_to_svg,
     epochs_to_csv,
     kernels_to_csv,
     trace_print,
@@ -53,48 +49,3 @@ class TestCsvExports:
         rt.launch(lambda ctx: None, 4, 64, name="k1")
         csv = kernels_to_csv(tracer)
         assert "0,k1,4,64" in csv
-
-
-class TestSvgExport:
-    def make_maps(self):
-        return [
-            AccessMap("buf", "cpu_write",
-                      np.array([1, 1, 0, 0, 1, 0, 1, 1], dtype=bool)),
-            AccessMap("buf", "gpu_read",
-                      np.array([0, 1, 1, 1, 0, 0, 0, 0], dtype=bool)),
-        ]
-
-    def test_valid_xml_with_panels(self):
-        svg = access_maps_to_svg(self.make_maps(), width=4)
-        root = ET.fromstring(svg)
-        assert root.tag.endswith("svg")
-        texts = [e.text for e in root.iter() if e.tag.endswith("text")]
-        assert any("cpu_write" in t for t in texts)
-        assert any("gpu_read" in t for t in texts)
-
-    def test_runs_are_coalesced_into_rects(self):
-        svg = access_maps_to_svg(
-            [AccessMap("m", "accessed",
-                       np.array([1, 1, 1, 1], dtype=bool))], width=4)
-        root = ET.fromstring(svg)
-        rects = [e for e in root.iter() if e.tag.endswith("rect")]
-        # background + one coalesced run
-        assert len(rects) == 2
-
-    def test_touched_cells_colored_by_category(self):
-        svg = access_maps_to_svg(self.make_maps(), width=4)
-        assert "#1f77b4" in svg  # cpu_write palette entry
-        assert "#ff7f0e" in svg  # gpu_read palette entry
-
-    def test_bad_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            access_maps_to_svg(self.make_maps(), width=0)
-
-    def test_end_to_end_from_diagnosis(self, setup):
-        rt, tracer = setup
-        v = rt.malloc_managed(4096, label="x").typed(np.int32)
-        v.write(0, np.zeros(100, np.int32))
-        result = trace_print(tracer, include_maps=True)
-        maps = [result.named("x").maps["cpu_write"]]
-        svg = access_maps_to_svg(maps, width=64)
-        ET.fromstring(svg)  # must be well-formed

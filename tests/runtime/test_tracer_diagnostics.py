@@ -10,8 +10,8 @@ from repro.memsim import Processor, intel_pascal
 from repro.runtime import (
     Tracer,
     XplAllocData,
+    epochs_to_csv,
     expand_object,
-    format_csv,
     format_text,
     trace_print,
 )
@@ -242,7 +242,7 @@ class TestDiagnosticsOutput:
         rt, tracer = setup
         v = rt.malloc_managed(64, label="x").typed(np.int32)
         v.write(0, np.zeros(16, np.int32))
-        csv = format_csv(trace_print(tracer))
+        csv = epochs_to_csv([trace_print(tracer)])
         lines = csv.strip().split("\n")
         assert lines[0].startswith("epoch,name,size")
         assert ",x," in lines[1]

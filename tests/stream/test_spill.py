@@ -19,7 +19,7 @@ def _event(i: int) -> Event:
 
 class TestEventLogOverflow:
     def test_ring_eviction_goes_to_spill_sink_fifo(self):
-        log = EventLog(capacity=3, ring=True)
+        log = EventLog(capacity=3)
         spilled = []
         log.spill = spilled.append
         for i in range(8):
@@ -29,7 +29,7 @@ class TestEventLogOverflow:
         assert log.dropped_total == 0  # spilled, not lost
 
     def test_spilled_plus_retained_is_complete_and_ordered(self):
-        log = EventLog(capacity=4, ring=True)
+        log = EventLog(capacity=4)
         spilled = []
         log.spill = spilled.append
         for i in range(11):
@@ -38,7 +38,7 @@ class TestEventLogOverflow:
         assert ids == list(range(11))
 
     def test_without_sink_drops_are_counted_and_announced(self):
-        log = EventLog(capacity=2, ring=True)
+        log = EventLog(capacity=2)
         seen = []
         log.add_drop_listener(seen.append)
         for i in range(5):
@@ -48,23 +48,14 @@ class TestEventLogOverflow:
         assert [e.id for e in seen] == [0, 1, 2]
         log.remove_drop_listener(seen.append)
 
-    def test_non_ring_overflow_also_routed(self):
-        log = EventLog(capacity=2, ring=False)
-        spilled = []
-        log.spill = spilled.append
-        for i in range(5):
-            log.record(_event(i))
-        assert [e.id for e in log] == [0, 1]     # oldest window retained
-        assert [e.id for e in spilled] == [2, 3, 4]
-
     def test_configure_retention_shrink_routes_overflow(self):
         log = EventLog()  # default large capacity
         for i in range(6):
             log.record(_event(i))
         spilled = []
         log.spill = spilled.append
-        log.configure_retention(capacity=2, ring=True)
-        assert [e.id for e in spilled] == [0, 1, 2, 3]  # ring keeps newest
+        log.configure_retention(capacity=2)
+        assert [e.id for e in spilled] == [0, 1, 2, 3]  # keeps the newest
         assert [e.id for e in log] == [4, 5]
         log.record(_event(6))
         assert [e.id for e in spilled] == [0, 1, 2, 3, 4]
@@ -74,19 +65,9 @@ class TestEventLogOverflow:
         for i in range(4):
             log.record(_event(i))
         before = log.summary()
-        log.configure_retention(capacity=1, ring=True)
+        log.configure_retention(capacity=1)
         assert log.summary() == before
         assert log.record(_event(99)).id == 4
-
-    def test_kind_index_rebuilt(self):
-        log = EventLog()
-        log.record(_event(0))
-        log.record(Event(kind=EventKind.MIGRATION, time=0.5,
-                         device=Processor.GPU, pages=4))
-        log.configure_retention(capacity=1, ring=True)
-        assert [e.kind for e in log.of_kind(EventKind.MIGRATION)] \
-            == [EventKind.MIGRATION]
-        assert log.of_kind(EventKind.PAGE_FAULT) == []
 
 
 def _heat_session():
@@ -122,8 +103,7 @@ class TestSpillingHeatStore:
 class TestStreamSpiller:
     def _run(self, tmp_path, *, log_capacity=4, epochs=3):
         session = _heat_session()
-        session.platform.events.configure_retention(capacity=log_capacity,
-                                                    ring=True)
+        session.platform.events.configure_retention(capacity=log_capacity)
         session.tracer.heat = SpillingHeatStore(nbuckets=8)
         spiller = StreamSpiller(tmp_path, shard="t0", workload="unit",
                                 platform="intel-pascal", watermark_events=64)
@@ -200,7 +180,7 @@ class TestDroppedTelemetry:
 
     def test_counter_counts_unspilled_ring_losses(self):
         rt = CudaRuntime(intel_pascal())
-        rt.platform.events.configure_retention(capacity=2, ring=True)
+        rt.platform.events.configure_retention(capacity=2)
         rec = TelemetryRecorder(jsonl=StringJsonl())
         rec.attach(rt)
         v = rt.malloc_managed(4 * PAGE_SIZE, label="v").typed(np.float32)

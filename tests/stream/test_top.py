@@ -1,5 +1,7 @@
 """repro-top: scripted-mode rendering over live and finished shards."""
 
+import hashlib
+
 import pytest
 
 from repro.stream.segments import LOG_NAME, SegmentWriter, load_manifest
@@ -152,3 +154,34 @@ class TestMainScripted:
         rc = main(shards + ["--interval", "0", "--no-color", "--no-clear"])
         assert rc == 0
         assert capsys.readouterr().out.count("repro-top —") == 1
+
+
+@pytest.fixture(scope="module")
+def four_shards(tmp_path_factory):
+    base = tmp_path_factory.mktemp("top4")
+    run_streaming("pathfinder", "pcie", base / "whole", log_capacity=64)
+    return [str(p) for p in split_stream(base / "whole", base, 4)]
+
+
+class TestPinnedFrames:
+    """sha256 of two drill-down frames over a 4-way pathfinder split.
+
+    The strips fold 64 buckets into the 48-cell default width, so the
+    digests cover the fold and both ramps byte for byte.
+    """
+
+    def test_ascii_frames(self, four_shards, capsys):
+        assert main(four_shards + ["--frames", "2", "--interval", "0",
+                                   "--no-color", "--no-clear",
+                                   "--alloc", "gpuWall"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "4cbff941ee0c56fc4e3d70784b468f8c"
+            "711df7b02565be90309317a5b297fa4d")
+
+    def test_color_frames(self, four_shards):
+        monitor = Monitor(four_shards, color=True, alloc="gpuWall")
+        out = (monitor.render_frame() + monitor.render_frame()).encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "3638040787286c60414a427c9ce1b77f"
+            "43e95bc06276a1aca8f91a55886bea2d")

@@ -196,7 +196,33 @@ OTHER_BAD_FLAGS = [
 ]
 
 
-@pytest.mark.parametrize("module, argv, message", OTHER_BAD_FLAGS)
+#: (module, arguments, expected stderr) for ``repro-sig match --k`` and
+#: the similarity and change thresholds of ``repro-sig`` and ``repro-why
+#: diff``; argument parsing rejects each before any file is read.
+SIG_BAD_FLAGS = [
+    *(pytest.param("repro.signature",
+                   ["match", "q.json", "--index", "{out}", "--k", value],
+                   f"argument --k: '{value}' is not a positive integer",
+                   id=f"repro-sig match---k-{value}")
+      for value in ("0", "-2", "many")),
+    *(pytest.param(module, [*argv, flag, value],
+                   f"argument {flag}: '{value}' is not a non-negative "
+                   "number", id=f"{command}-{flag}-{value}")
+      for command, module, argv, flag in (
+          ("repro-sig match", "repro.signature",
+           ["match", "q.json", "--index", "{out}"], "--threshold"),
+          ("repro-sig compute", "repro.signature",
+           ["compute", "--workload", "pathfinder", "--out", "{out}"],
+           "--phase-threshold"),
+          ("repro-why diff", "repro.causes",
+           ["diff", "run-a", "run-b", "--out", "{out}"], "--threshold"),
+      )
+      for value in ("-1", "nan", "high")),
+]
+
+
+@pytest.mark.parametrize("module, argv, message",
+                         OTHER_BAD_FLAGS + SIG_BAD_FLAGS)
 def test_other_counts_must_be_positive(module, argv, message, tmp_path):
     out = tmp_path / "out"
     done = _cli(module, [a.format(out=out) for a in argv])
@@ -205,6 +231,50 @@ def test_other_counts_must_be_positive(module, argv, message, tmp_path):
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
     assert not out.exists()
+
+
+#: ``repro-sig`` arguments naming an input that is missing or cannot be
+#: read, and the path its one ``error:`` line names.  ``{sig}`` is a
+#: valid signature, ``{junk}`` a file that is neither JSON nor NPZ,
+#: ``{db}`` an index whose ``index.json`` is damaged, and ``{out}`` a
+#: path no command may create.
+UNREADABLE_INPUTS = [
+    pytest.param(["compare", "{out}/a.json", "{sig}"], "{out}/a.json",
+                 id="compare-missing-a"),
+    pytest.param(["compare", "{sig}", "{out}"], "{out}",
+                 id="compare-missing-b"),
+    pytest.param(["compare", "{sig}", "{junk}"], "{junk}",
+                 id="compare-junk"),
+    pytest.param(["match", "{out}/q.json", "--index", "{out}",
+                  "--add", "x"], "{out}/q.json", id="match-missing-query"),
+    pytest.param(["match", "{sig}", "--index", "{db}", "--add", "x"],
+                 "{db}/index.json", id="match-damaged-index"),
+    pytest.param(["compute", "--npz", "{out}/heat.npz", "--out", "{out}"],
+                 "{out}/heat.npz", id="compute-missing-npz"),
+    pytest.param(["compute", "--npz", "{junk}", "--out", "{out}"],
+                 "{junk}", id="compute-junk-npz"),
+]
+
+
+@pytest.mark.parametrize("argv, where", UNREADABLE_INPUTS)
+def test_sig_unreadable_input_is_one_error_line(argv, where, tmp_path):
+    from repro.signature.vector import RunSignature
+
+    paths = {"out": tmp_path / "out", "sig": tmp_path / "sig.json",
+             "junk": tmp_path / "junk.bin", "db": tmp_path / "db"}
+    RunSignature(workload="w").save(paths["sig"])
+    paths["junk"].write_bytes(b"not json, not a zip archive\n")
+    (paths["db"]).mkdir()
+    (paths["db"] / "index.json").write_text("{")
+    done = _cli("repro.signature", [a.format(**paths) for a in argv])
+    assert done.returncode == 2
+    assert done.stderr.startswith(
+        f"error: cannot read {where.format(**paths)}: ")
+    assert done.stderr.count("\n") == 1
+    assert done.stdout == ""
+    assert not paths["out"].exists()
+    assert sorted(p.name for p in paths["db"].iterdir()) == ["index.json"]
+    assert (paths["db"] / "index.json").read_text() == "{"
 
 
 def test_debug_without_gpu_mem_keeps_the_preset():
