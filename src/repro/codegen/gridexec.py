@@ -41,15 +41,13 @@ _READ, _WRITE, _RMW = 0, 1, 2
 class _Res:
     """One resolved (per-launch) heap access: lanes -> elements/words."""
 
-    __slots__ = ("kind", "dt", "size", "alloc", "elem", "words", "lanes",
-                 "lane0", "count", "site_i", "traced", "wmin", "wmax",
-                 "_uniq")
+    __slots__ = ("kind", "dt", "alloc", "elem", "words", "lanes", "lane0",
+                 "count", "site_i", "traced", "wmin", "wmax", "_uniq")
 
-    def __init__(self, kind, dt, size, alloc, elem, words, lanes, lane0,
-                 count, site_i, traced):
+    def __init__(self, kind, dt, alloc, elem, words, lanes, lane0, count,
+                 site_i, traced):
         self.kind = kind
         self.dt = dt
-        self.size = size
         self.alloc = alloc
         self.elem = elem        # element index per active lane
         self.words = words      # shadow word index per touched word
@@ -225,8 +223,8 @@ class VecRun:
             words = ((offs >> 2)[:, None]
                      + np.arange(wpl, dtype=np.int64)).reshape(-1)
             lanes = np.repeat(lane0, wpl)
-        return _Res(kind, dt, size, alloc, elem, words, lanes, lane0,
-                    count, site_i, traced)
+        return _Res(kind, dt, alloc, elem, words, lanes, lane0, count,
+                    site_i, traced)
 
     def _zeros(self, key):
         if DTYPES[key].kind == "f":
@@ -354,89 +352,6 @@ class VecRun:
                     if p.uniq.size != p.words.size:
                         raise VecBail("colliding words across lanes")
 
-    def _batcher_seen(self) -> int | None:
-        """Words the interpreter's TraceBatcher would tally for this
-        launch, or ``None`` when parity cannot be proven.
-
-        The interpreter counts *post-merge interval widths*: per thread,
-        consecutive trace calls on the same ``(allocation, kind)`` merge
-        into one pending interval when they overlap or touch, and only
-        flushed interval widths reach ``words_recorded``.  This simulates
-        that accounting exactly, vectorized across lanes (each lane's
-        pending interval advances through the plans in statement order;
-        inactive lanes skip a plan just like a masked-off thread skips
-        the statement).
-
-        The one case the per-lane simulation cannot see is a chain
-        *continuing across the lane boundary* -- thread ``l``'s final
-        pending interval merging with thread ``l+1``'s first trace call.
-        Such merges change nothing when the key's traced words are
-        duplicate-free (merged unions stay collapse-free, so widths sum
-        to the same total), so that case is allowed; a boundary touch on
-        a key *with* colliding words returns ``None`` and the launch
-        falls back to the scalar backend.
-        """
-        smt = self.tracer.smt
-        traced = [p for p in self.plans
-                  if p.traced and smt.lookup(p.alloc.base) is not None]
-        if not traced:
-            return 0
-        n = self.n
-        pkey = np.full(n, -1, dtype=np.int64)   # pending chain key per lane
-        plo = np.zeros(n, dtype=np.int64)
-        phi = np.zeros(n, dtype=np.int64)
-        fkey = np.full(n, -1, dtype=np.int64)   # first trace call per lane
-        flo = np.zeros(n, dtype=np.int64)
-        fhi = np.zeros(n, dtype=np.int64)
-        counts = np.zeros(n, dtype=np.int64)
-        keys: dict[tuple[int, int], int] = {}
-        kinds: list[int] = []
-        key_words: dict[int, list[np.ndarray]] = {}
-        for p in traced:
-            kk = (id(p.alloc), p.kind)
-            k = keys.get(kk)
-            if k is None:
-                k = keys[kk] = len(kinds)
-                kinds.append(p.kind)
-                key_words[k] = []
-            key_words[k].append(p.words)
-            width = p.size // 4 if p.size > 4 else 1
-            starts = p.words if width == 1 else p.words[::width]
-            L = p.lane0
-            lo = plo[L]
-            hi = phi[L]
-            same = pkey[L] == k
-            if p.kind == _RMW:
-                merge = same & ((starts == hi) | (starts + width == lo))
-            else:
-                merge = same & (starts <= hi) & (starts + width >= lo)
-            flush = (pkey[L] != -1) & ~merge
-            fl = L[flush]
-            counts[fl] += phi[fl] - plo[fl]
-            plo[L] = np.where(merge, np.minimum(lo, starts), starts)
-            phi[L] = np.where(merge, np.maximum(hi, starts + width),
-                              starts + width)
-            pkey[L] = k
-            new = fkey[L] == -1
-            nl = L[new]
-            fkey[nl] = k
-            flo[nl] = starts[new]
-            fhi[nl] = starts[new] + width
-        have = pkey != -1
-        counts[have] += phi[have] - plo[have]
-        boundary = (pkey[:-1] != -1) & (pkey[:-1] == fkey[1:])
-        if boundary.any():
-            kind_arr = np.asarray(kinds, dtype=np.int64)
-            is_rmw = kind_arr[np.clip(pkey[:-1], 0, None)] == _RMW
-            touch_rw = (flo[1:] <= phi[:-1]) & (fhi[1:] >= plo[:-1])
-            touch_rmw = (flo[1:] == phi[:-1]) | (fhi[1:] == plo[:-1])
-            touch = boundary & np.where(is_rmw, touch_rmw, touch_rw)
-            for k in np.unique(pkey[:-1][touch]):
-                words = np.concatenate(key_words[int(k)])
-                if np.unique(words).size != words.size:
-                    return None
-        return int(counts.sum())
-
     def finish(self) -> None:
         """Validate the launch, then apply batched shadow/heat updates."""
         if self._finished:
@@ -446,9 +361,6 @@ class VecRun:
         tracer = self.tracer
         if tracer is None:
             return
-        seen = self._batcher_seen()
-        if seen is None:
-            raise VecBail("cross-lane trace coalescing with colliding words")
         tracer.flush_trace()
         proc = tracer.current_proc
         heat = tracer.heat
@@ -460,7 +372,7 @@ class VecRun:
             block = smt.lookup(p.alloc.base)
             if block is None:
                 continue
-            tracer._apply_words(block, proc, p.kind, p.words, count=0)
+            tracer._apply_words(block, proc, p.kind, p.words)
             if heat is not None:
                 site = (sites[p.site_i]
                         if p.site_i is not None and sites else None)
@@ -470,7 +382,6 @@ class VecRun:
                 if p.kind != _READ:
                     heat.record(p.alloc, proc, is_write=True,
                                 idx=p.words, site=site, n=p.count)
-        tracer.note_words(seen)
 
     def restore(self) -> None:
         """Revert every scattered allocation to its pre-launch payload."""

@@ -435,16 +435,6 @@ class CudaRuntime:
         finally:
             self._accessors = prev
 
-    @contextmanager
-    def on_cpu(self) -> Iterator[None]:
-        """Force the CPU access context (used by diagnostics inside kernels)."""
-        prev = (self.current_proc, self._accessors)
-        self.current_proc, self._accessors = Processor.CPU, 1
-        try:
-            yield
-        finally:
-            self.current_proc, self._accessors = prev
-
     # ------------------------------------------------------------------ #
     # the access funnel
 

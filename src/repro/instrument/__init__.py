@@ -22,7 +22,6 @@ from .typesys import (
     StructField,
     StructType,
     TypeTable,
-    expand_pointer,
 )
 from .unparse import unparse, unparse_expr
 
@@ -45,6 +44,6 @@ __all__ = [
     "XplDiagnostic", "XplReplace", "parse_xpl_pragma",
     "TRACE_FNS", "InstrumentationResult", "instrument", "instrument_source",
     "Array", "CType", "Pointer", "Primitive", "StructField", "StructType",
-    "TypeTable", "expand_pointer",
+    "TypeTable",
     "unparse", "unparse_expr",
 ]

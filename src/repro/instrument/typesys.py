@@ -183,33 +183,3 @@ class TypeTable:
         if isinstance(ctype, StructType):
             return [f for f in ctype.fields if isinstance(f.type, Pointer)]
         return []
-
-
-def expand_pointer(
-    table: TypeTable, ctype: CType, expr: str,
-) -> list[tuple[str, CType]]:
-    """Recursively expand a pointer for ``#pragma xpl diagnostic``.
-
-    Given ``expr`` of pointer type ``ctype``, returns ``(expression,
-    pointee-type)`` pairs for the pointer itself and every pointer member
-    reachable through it, stopping on type repetition (the paper's
-    linked-list guard).  Expressions use the paper's spelling, e.g.
-    ``(a)->first``.
-    """
-    if not isinstance(ctype, Pointer):
-        raise TypeError_(f"diagnostic argument {expr!r} must have pointer type")
-    records: list[tuple[str, CType]] = []
-    seen: set[str] = set()
-
-    def walk(e: str, target: CType) -> None:
-        records.append((e, target))
-        if isinstance(target, StructType):
-            if target.name in seen:
-                return
-            seen.add(target.name)
-            for f in table.pointer_members(target):
-                walk(f"({e})->{f.name}", f.type.target)
-            seen.discard(target.name)
-
-    walk(expr, ctype.target)
-    return records

@@ -29,8 +29,9 @@ point where shadow state becomes observable: kernel boundaries, memcpys,
 advice, frees, epoch advances and diagnostic queries.
 
 Heat counts (:mod:`repro.heatmap`) are additive rather than idempotent, so
-they are *not* coalesced -- the tracer forwards them per call and batching
-changes no count.
+they are *not* coalesced -- the tracer forwards them per call, and counts
+traced words before a span reaches the batcher, so batching changes no
+count.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ class TraceBatcher:
         passes its shadow-apply routine.
     """
 
-    __slots__ = ("sink", "block", "proc", "kind", "lo", "hi",
-                 "merged", "flushed")
+    __slots__ = ("sink", "block", "proc", "kind", "lo", "hi")
 
     def __init__(self, sink: Sink) -> None:
         self.sink = sink
@@ -67,10 +67,6 @@ class TraceBatcher:
         self.kind: int = KIND_READ
         self.lo = 0
         self.hi = 0
-        #: Accesses absorbed into a pending interval (introspection/bench).
-        self.merged = 0
-        #: Intervals delivered to the sink.
-        self.flushed = 0
 
     def add(self, block: object, proc: Processor, kind: int,
             lo: int, hi: int) -> None:
@@ -83,22 +79,18 @@ class TraceBatcher:
                         self.lo = lo
                     if hi > self.hi:
                         self.hi = hi
-                    self.merged += 1
                     return
             else:
                 # RMW merges only by extension; overlap must flush so the
                 # second RMW reads the first one's write.
                 if lo == self.hi:
                     self.hi = hi
-                    self.merged += 1
                     return
                 if hi == self.lo:
                     self.lo = lo
-                    self.merged += 1
                     return
         if self.block is not None:
             self.sink(self.block, self.proc, self.kind, self.lo, self.hi)
-            self.flushed += 1
         self.block = block
         self.proc = proc
         self.kind = kind
@@ -109,5 +101,4 @@ class TraceBatcher:
         """Apply and clear the pending interval, if any."""
         if self.block is not None:
             self.sink(self.block, self.proc, self.kind, self.lo, self.hi)
-            self.flushed += 1
             self.block = None

@@ -115,11 +115,6 @@ class DiagnosticResult:
                 return r
         raise KeyError(name)
 
-    @property
-    def total_alternating(self) -> int:
-        """Sum of alternating-access words across allocations."""
-        return sum(r.alternating for r in self.reports)
-
 
 def _report_block(block: ShadowBlock, name: str, *, include_maps: bool,
                   heat=None) -> AllocationReport:

@@ -102,8 +102,8 @@ class Tracer(ObserverBase):
         #: open heat accumulators) is still inspectable.  The interactive
         #: debugger hangs anti-pattern breakpoints here.
         self.diagnostic_hooks: list = []
-        #: Shadow words recorded so far (post-merge interval widths; see
-        #: :meth:`note_words`).
+        #: Shadow words traced so far, counted as each access enters the
+        #: tracer (batched or not, the same figure).
         self.words_recorded = 0
         #: Coalesces consecutive same-(alloc, proc, kind) accesses into one
         #: vectorized shadow update (see :mod:`repro.runtime.batch`).
@@ -161,7 +161,6 @@ class Tracer(ObserverBase):
     def _apply_range(self, block: ShadowBlock, proc: Processor, kind: int,
                      lo: int, hi: int) -> None:
         """Apply one (possibly coalesced) word interval to the shadow."""
-        self.words_recorded += hi - lo
         if kind == KIND_READ:
             block.record_read(proc, lo, hi)
         elif kind == KIND_WRITE:
@@ -171,7 +170,9 @@ class Tracer(ObserverBase):
 
     def _trace_span(self, block: ShadowBlock, proc: Processor, kind: int,
                     lo: int, hi: int) -> None:
-        """Route one span access through the batcher (or apply directly)."""
+        """Count one span access, then route it through the batcher (or
+        apply it directly)."""
+        self.words_recorded += hi - lo
         b = self.batcher
         if b is not None:
             b.add(block, proc, kind, lo, hi)
@@ -184,34 +185,21 @@ class Tracer(ObserverBase):
             self.batcher.flush()
 
     def _apply_words(self, block: ShadowBlock, proc: Processor, kind: int,
-                     idx, count: int | None = None) -> None:
+                     idx) -> None:
         """Apply one batched per-word update (vectorized backend sink).
 
         ``idx`` is an int array of shadow word indices, one entry per
         traced word per lane (duplicates legal: the shadow ORs bits, and
         heat counts each entry, exactly like the per-thread calls the
-        batch replaces).  ``count`` overrides the ``len(idx)`` tally
-        (pass 0 when the launch accounts its words once via
-        :meth:`note_words` instead of per update).
+        batch replaces); each entry counts as one traced word.
         """
-        self.words_recorded += len(idx) if count is None else count
+        self.words_recorded += len(idx)
         if kind == KIND_READ:
             block.record_read(proc, 0, 0, idx=idx)
         elif kind == KIND_WRITE:
             block.record_write(proc, 0, 0, idx=idx)
         else:
             block.record_rmw(proc, 0, 0, idx=idx)
-
-    def note_words(self, n: int) -> None:
-        """Account ``n`` logical shadow words for a batched launch.
-
-        The interpreter's :class:`~repro.runtime.batch.TraceBatcher`
-        tallies *post-merge interval widths*, not trace calls, so a
-        vectorized launch computes the identical figure up front
-        (:meth:`repro.codegen.gridexec.VecRun._batcher_seen`) and books
-        it here in one step.
-        """
-        self.words_recorded += n
 
     def note_launch(self, used: str, fallbacks: int = 0) -> None:
         """Record which backend executed a kernel launch (and how many

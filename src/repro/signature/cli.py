@@ -153,9 +153,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
+    root = Path(args.index)
+    if root.exists() and not root.is_dir():
+        raise _BadInput(f"cannot read {root}: not a directory")
     sig = _load_signature(args.query)
-    with _reading(Path(args.index) / "index.json"):
-        index = SignatureIndex(args.index)
+    with _reading(root / "index.json"):
+        index = SignatureIndex(root)
         report = index.match(sig, threshold=args.threshold, k=args.k)
     if args.add:
         index.add(args.add, sig)
@@ -212,9 +215,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("a", help="signature.json (or directory holding one)")
     p.add_argument("b", help="signature.json (or directory holding one)")
     p.add_argument("--json", action="store_true", help="JSON report")
-    p.add_argument("--fail-below", type=float, default=None, metavar="T",
+    p.add_argument("--fail-below", type=non_negative, default=None,
+                   metavar="T",
                    help="exit 3 when similarity < T (CI guard)")
-    p.add_argument("--fail-above", type=float, default=None, metavar="T",
+    p.add_argument("--fail-above", type=non_negative, default=None,
+                   metavar="T",
                    help="exit 3 when similarity > T (distinctness guard)")
     p.set_defaults(func=_cmd_compare)
 

@@ -49,13 +49,6 @@ class WorkloadRun:
     diagnoses: list[Diagnosis] = field(default_factory=list)
     stats: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def last_diagnosis(self) -> Diagnosis:
-        """The final diagnostic of the run."""
-        if not self.diagnoses:
-            raise ValueError(f"run {self.name}/{self.variant} collected no diagnoses")
-        return self.diagnoses[-1]
-
 
 def make_session(
     platform: Platform | str | Callable[[], Platform] = "intel-pascal",

@@ -144,7 +144,7 @@ int main() { return 0; }
 CONFLICT = HEADER + """
 __global__ void clash(int* a, int n) {
     int i = blockIdx.x * blockDim.x + threadIdx.x;
-    a[0] = i;
+    STMT;
 }
 int main() {
     int* a;
@@ -178,17 +178,24 @@ int main() {
 
 
 class TestRuntimeFallback:
-    def test_conflicting_scatter_falls_back_and_matches(self):
-        """All lanes write word 0 with different values: the alias check
-        cannot prove last-wins order, so the launch re-runs scalar."""
-        it_i = run_program(CONFLICT, tracer=Tracer(), backend="interp")
-        it_v = run_program(CONFLICT, tracer=Tracer(), backend="codegen-vec")
+    @pytest.mark.parametrize("stmt, launches, fallbacks", [
+        ("a[0] = i", {"codegen-vec": 1}, 0),
+        ("a[0] += i", {"codegen": 1}, 1),
+    ], ids=["write", "rmw"])
+    def test_conflicting_scatter_matches(self, stmt, launches, fallbacks):
+        """All lanes hit word 0 with different values.  A plain write
+        vectorizes (one write plan passes the alias check, and the
+        scatter makes the last lane win); a read-modify-write fails the
+        colliding-words check and re-runs scalar.  Both match interp."""
+        src = CONFLICT.replace("STMT", stmt)
+        it_i = run_program(src, tracer=Tracer(), backend="interp")
+        it_v = run_program(src, tracer=Tracer(), backend="codegen-vec")
         assert it_i.stdout == it_v.stdout
         assert (_describe_no_backend(it_i.tracer)
                 == _describe_no_backend(it_v.tracer))
         info = it_v.tracer.backend_info()
-        assert info["launches"] == {"codegen": 1}
-        assert info["fallbacks"] == 1
+        assert info["launches"] == launches
+        assert info["fallbacks"] == fallbacks
 
     def test_shared_read_word_is_fine(self):
         """All lanes *reading* one word is not a conflict."""

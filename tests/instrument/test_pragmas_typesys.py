@@ -7,7 +7,6 @@ from repro.instrument import (
     TypeError_,
     XplDiagnostic,
     XplReplace,
-    expand_pointer,
     parse_xpl_pragma,
 )
 from repro.instrument.typesys import (
@@ -93,29 +92,3 @@ class TestTypeModel:
         t.add_typedef("Real", DOUBLE)
         assert t.typedef("Real") is DOUBLE
         assert t.typedef("Missing") is None
-
-
-class TestExpandPointer:
-    def test_scalar_pointer(self):
-        t = TypeTable()
-        records = expand_pointer(t, Pointer(INT), "z")
-        assert records == [("z", INT)]
-
-    def test_struct_members_expanded(self):
-        t = TypeTable()
-        pair = t.struct("pair", declare=True)
-        pair.lay_out([("first", Pointer(INT)), ("second", Pointer(INT))])
-        records = expand_pointer(t, Pointer(pair), "a")
-        assert [r[0] for r in records] == ["a", "(a)->first", "(a)->second"]
-
-    def test_repetition_guard(self):
-        t = TypeTable()
-        node = t.struct("node", declare=True)
-        node.lay_out([("next", Pointer(node)), ("data", Pointer(INT))])
-        records = expand_pointer(t, Pointer(node), "head")
-        names = [r[0] for r in records]
-        assert names == ["head", "(head)->next", "(head)->data"]
-
-    def test_non_pointer_rejected(self):
-        with pytest.raises(TypeError_):
-            expand_pointer(TypeTable(), INT, "x")

@@ -2,10 +2,10 @@
 
 The PR-5 optimisations (UM-driver resident fast path, trace batching,
 interpreter dispatch) are pure performance work -- every diagnostic
-counter, transfer record, driver event and simulated cost must be
-bit-identical with the fast paths on and off.  These tests run real
-workloads and randomized access sequences both ways and compare the
-complete observable state.
+counter (``Tracer.describe()`` included), transfer record, driver event
+and simulated cost must be bit-identical with the fast paths on and off.
+These tests run real workloads and randomized access sequences both ways
+and compare the complete observable state.
 """
 
 import numpy as np
@@ -15,6 +15,7 @@ from repro.interp import run_program
 from repro.memsim import AddressSpace, MemoryKind, Processor
 from repro.runtime import Tracer, trace_print
 from repro.workloads.base import make_session
+from repro.workloads.minicuda import CATALOG
 from repro.workloads.rodinia import Gaussian
 from repro.workloads.smithwaterman import SmithWaterman
 
@@ -101,13 +102,16 @@ int main() {
 
 
 def test_instrumented_source_diagnostics_bit_identical():
-    """Batched vs unbatched mini-CUDA runs print byte-identical reports."""
-    outs = []
-    for batch in (True, False):
-        interp = run_program(_MINI_CUDA, tracer=Tracer(batch=batch))
-        outs.append(interp.stdout)
-    assert outs[0] == outs[1]
-    assert "access density" in outs[0]
+    """Batched vs unbatched mini-CUDA runs print byte-identical reports
+    and count the same traced words (the sweep above and catalogue
+    ``mc-pathfinder``, whose spans merge across threads)."""
+    for source in (_MINI_CUDA, CATALOG["mc-pathfinder"]()):
+        outs = []
+        for batch in (True, False):
+            interp = run_program(source, tracer=Tracer(batch=batch))
+            outs.append((interp.stdout, interp.tracer.describe()))
+        assert outs[0] == outs[1]
+        assert "access density" in outs[0][0]
 
 
 def _replay(batch: bool, seed: int):
@@ -138,11 +142,11 @@ def _replay(batch: bool, seed: int):
                              is_rmw=kind == 2)
         if rng.integers(50) == 0:  # mid-run diagnostic (advances the epoch)
             result = trace_print(tracer)
-            snapshots.append([(r.name, r.counts, r.alternating)
-                              for r in result.reports])
+            snapshots.append(([(r.name, r.counts, r.alternating)
+                               for r in result.reports], tracer.describe()))
     result = trace_print(tracer)
-    snapshots.append([(r.name, r.counts, r.alternating)
-                      for r in result.reports])
+    snapshots.append(([(r.name, r.counts, r.alternating)
+                       for r in result.reports], tracer.describe()))
     return snapshots
 
 

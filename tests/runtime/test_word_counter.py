@@ -1,11 +1,12 @@
 """``Tracer.describe()`` word and epoch counters pinned on every Session workload.
 
-Every shadow word a workload presents is recorded, so the counter is a
-fixed property of the workload.  The values were captured with heat
-recording on, after a final diagnostic (which flushes the pending
-coalesced interval into the count).  ``per_iteration=True`` diagnoses
-every iteration, which adds epochs but never words; the epoch counts pin
-which workloads have a per-iteration variant.
+The counter is the number of words traced: each access adds its width
+as it enters the tracer, so the figure is a fixed property of the
+workload and does not depend on batching or on when a pending interval
+is flushed.  The values were captured with heat recording on, after a
+final diagnostic.  ``per_iteration=True`` diagnoses every iteration,
+which adds epochs but never words; the epoch counts pin which workloads
+have a per-iteration variant.
 """
 
 import pytest

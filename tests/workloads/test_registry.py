@@ -211,6 +211,10 @@ SIG_BAD_FLAGS = [
       for command, module, argv, flag in (
           ("repro-sig match", "repro.signature",
            ["match", "q.json", "--index", "{out}"], "--threshold"),
+          ("repro-sig compare", "repro.signature",
+           ["compare", "a.json", "b.json"], "--fail-below"),
+          ("repro-sig compare", "repro.signature",
+           ["compare", "a.json", "b.json"], "--fail-above"),
           ("repro-sig compute", "repro.signature",
            ["compute", "--workload", "pathfinder", "--out", "{out}"],
            "--phase-threshold"),
@@ -237,7 +241,7 @@ def test_other_counts_must_be_positive(module, argv, message, tmp_path):
 #: read, and the path its one ``error:`` line names.  ``{sig}`` is a
 #: valid signature, ``{junk}`` a file that is neither JSON nor NPZ,
 #: ``{db}`` an index whose ``index.json`` is damaged, and ``{out}`` a
-#: path no command may create.
+#: path no command may create.  None of the inputs may change.
 UNREADABLE_INPUTS = [
     pytest.param(["compare", "{out}/a.json", "{sig}"], "{out}/a.json",
                  id="compare-missing-a"),
@@ -249,6 +253,8 @@ UNREADABLE_INPUTS = [
                   "--add", "x"], "{out}/q.json", id="match-missing-query"),
     pytest.param(["match", "{sig}", "--index", "{db}", "--add", "x"],
                  "{db}/index.json", id="match-damaged-index"),
+    pytest.param(["match", "{sig}", "--index", "{junk}", "--add", "x"],
+                 "{junk}", id="match-index-is-a-file"),
     pytest.param(["compute", "--npz", "{out}/heat.npz", "--out", "{out}"],
                  "{out}/heat.npz", id="compute-missing-npz"),
     pytest.param(["compute", "--npz", "{junk}", "--out", "{out}"],
@@ -275,6 +281,7 @@ def test_sig_unreadable_input_is_one_error_line(argv, where, tmp_path):
     assert not paths["out"].exists()
     assert sorted(p.name for p in paths["db"].iterdir()) == ["index.json"]
     assert (paths["db"] / "index.json").read_text() == "{"
+    assert paths["junk"].read_bytes() == b"not json, not a zip archive\n"
 
 
 def test_debug_without_gpu_mem_keeps_the_preset():
