@@ -411,13 +411,11 @@ class HeatStore:
     def to_npz(self, path: str | Path) -> Path:
         """Write all heat matrices to a compressed ``.npz`` archive.
 
-        Keys: ``a<i>_counts`` (``(n_epochs, 4, nbuckets)`` int64),
-        ``a<i>_epochs`` and one ``a<i>_<channel>`` array per
-        :data:`CHANNELS` name (``(n_epochs, nbuckets)``, the same data
-        split per channel under stable keys) per allocation, plus the
-        ``labels``, ``nwords``, ``sizes``, ``bases``, ``serials`` and
-        ``epochs_closed`` index arrays.  The per-channel arrays and the
-        geometry index are what let access-pattern signatures
+        Keys: ``a<i>_counts`` (``(n_epochs, 4, nbuckets)`` int64, axis 1
+        named by ``channels``) and ``a<i>_epochs`` per allocation, plus
+        the ``labels``, ``nwords``, ``sizes``, ``bases``, ``serials``,
+        ``epochs_closed`` and ``channels`` index arrays.  The counts and
+        the geometry index are what let access-pattern signatures
         (:func:`repro.signature.signature_from_npz`) -- and external
         tooling -- be rebuilt from the archive alone.
         """
@@ -433,10 +431,7 @@ class HeatStore:
             "channels": np.array(CHANNELS),
         }
         for i, heat in enumerate(allocs):
-            counts = heat.epoch_counts()
-            arrays[f"a{i}_counts"] = counts
-            for c, name in enumerate(CHANNELS):
-                arrays[f"a{i}_{name}"] = counts[:, c, :]
+            arrays[f"a{i}_counts"] = heat.epoch_counts()
             arrays[f"a{i}_epochs"] = np.array(
                 [e.epoch for e in heat.epochs], np.int64)
         np.savez_compressed(path, **arrays)

@@ -374,35 +374,28 @@ def signature_from_npz(path: str | Path, *, workload: str = "",
                        phase_threshold: float | None = None) -> RunSignature:
     """Rebuild a :class:`RunSignature` from a ``heat.npz`` artifact alone.
 
-    Relies on the per-channel arrays and geometry index written by
-    :meth:`~repro.heatmap.store.HeatStore.to_npz` (``a<i>_<channel>``,
-    ``sizes``, ``serials``, ``bases``); site attribution is not stored in
-    NPZ, so ``top_sites`` comes back empty -- by design that never
-    affects vectors or similarity.
+    Reads the arrays written by
+    :meth:`~repro.heatmap.store.HeatStore.to_npz`: ``labels``,
+    ``sizes``, ``bases``, ``serials``, ``epochs_closed`` and each
+    allocation's ``a<i>_counts`` and ``a<i>_epochs``; a missing one
+    raises :class:`KeyError`.  Site attribution is not stored in NPZ, so
+    ``top_sites`` comes back empty -- by design that never affects
+    vectors or similarity.
     """
     from ..heatmap.store import EpochHeat
-    from .phases import detect_phases  # noqa: F401  (parity of defaults)
 
     with np.load(path, allow_pickle=False) as npz:
         labels = [str(x) for x in npz["labels"]]
-        nwords = npz["nwords"].astype(np.int64)
-        sizes = npz["sizes"].astype(np.int64) if "sizes" in npz \
-            else nwords * 4
+        sizes, bases, serials = (npz[k].astype(np.int64)
+                                 for k in ("sizes", "bases", "serials"))
         store = HeatStore(attribute=False)
         store.epochs_closed = [int(e) for e in npz["epochs_closed"]]
         for i, label in enumerate(labels):
             epochs = npz[f"a{i}_epochs"].astype(np.int64)
-            key = f"a{i}_{CHANNELS[0]}"
-            if key in npz:
-                counts = np.stack(
-                    [npz[f"a{i}_{c}"] for c in CHANNELS], axis=1)
-            else:  # pre-signature archives: the combined stack
-                counts = npz[f"a{i}_counts"]
-            nbuckets = counts.shape[2] if counts.ndim == 3 else 1
+            counts = npz[f"a{i}_counts"]
             heat = AllocationHeat.from_meta(
-                label, base=int(npz["bases"][i]) if "bases" in npz else 0,
-                serial=int(npz["serials"][i]) if "serials" in npz else i,
-                size=int(sizes[i]), nbuckets=int(nbuckets))
+                label, base=int(bases[i]), serial=int(serials[i]),
+                size=int(sizes[i]), nbuckets=int(counts.shape[2]))
             for j, epoch in enumerate(epochs):
                 heat.epochs.append(EpochHeat(
                     epoch=int(epoch),

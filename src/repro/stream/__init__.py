@@ -20,7 +20,6 @@ from .segments import (
     iter_shard_records,
     load_manifest,
     read_segment,
-    segment_files,
     shard_frames,
     write_manifest,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "merge_shards",
     "read_segment",
     "run_streaming",
-    "segment_files",
     "shard_frames",
     "split_stream",
     "write_manifest",

@@ -272,12 +272,6 @@ def merge_shards(shard_dirs, *, strict: bool = False,
                 warn(f"shard {shard_name} platform {manifest['platform']!r} "
                      f"!= {merged.platform!r}")
             merged.platform = merged.platform or manifest["platform"]
-        stride = manifest.get("config", {}).get("sample", 1)
-        if stride != 1:
-            # Streams written before shadow sampling was removed.  Heat
-            # and driver events were always full-rate, so they merge as-is.
-            warn(f"shard {shard_name} was traced with shadow sampling "
-                 f"(stride {stride}); its diagnoses were sampled estimates")
         rollup = manifest.get("rollup", {})
         merged.events_dropped += int(rollup.get("events_dropped", 0))
         heat_records_total += int(rollup.get("heat_records", 0))

@@ -43,8 +43,7 @@ The manifest is the summary: identity, completeness, one ``{offset,
 bytes, records, ...}`` entry per frame and the live rollup counters
 ``repro-top`` shows.  It is rewritten only every :data:`MANIFEST_EVERY`
 segments, so its segment list may lag the log; readers always scan the
-log itself.  Version 1 directories (one ``segments/seg-NNNNN.jsonl``
-file per frame, no ``bytes`` in the header) are still read.
+log itself.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ __all__ = [
     "iter_shard_records",
     "load_manifest",
     "write_manifest",
-    "segment_files",
 ]
 
 #: Bumped whenever the segment/manifest shapes change incompatibly.
@@ -82,9 +80,6 @@ MANIFEST_NAME = "manifest.json"
 
 #: Segments between manifest rewrites (besides open and finalize).
 MANIFEST_EVERY = 64
-
-#: Version 1 layout: one file per segment under this directory.
-_V1_SEGMENT_DIR = "segments"
 
 
 class TruncatedSegmentError(RuntimeError):
@@ -125,20 +120,11 @@ def load_manifest(dir_path: str | Path) -> dict[str, Any]:
         raise IncompatibleStreamError(f"{path}: unreadable manifest: {exc}")
     version = manifest.get("stream_version") \
         if isinstance(manifest, dict) else None
-    if not isinstance(version, int) or version < 1 or version > STREAM_VERSION:
+    if version != STREAM_VERSION:
         raise IncompatibleStreamError(
-            f"{path}: stream_version {version!r} is outside the supported "
-            f"range [1, {STREAM_VERSION}]")
+            f"{path}: stream_version {version!r} is not {STREAM_VERSION}, "
+            "the only version this build reads")
     return manifest
-
-
-def segment_files(dir_path: str | Path) -> list[Path]:
-    """A version 1 directory's segment files, in write order."""
-    seg_dir = Path(dir_path) / _V1_SEGMENT_DIR
-    if not seg_dir.is_dir():
-        return []
-    return sorted(p for p in seg_dir.iterdir()
-                  if p.name.startswith("seg-") and p.suffix == ".jsonl")
 
 
 class SegmentWriter:
@@ -163,8 +149,8 @@ class SegmentWriter:
         self.rollup: dict[str, Any] = {}
         self.complete = False
         self.dir.mkdir(parents=True, exist_ok=True)
-        # The log exists before the manifest does, so a reader that finds
-        # a manifest never falls back to the version 1 layout.
+        # The log exists before the manifest does, so a manifest without
+        # a log beside it is never a stream still being opened.
         self._log = (self.dir / LOG_NAME).open("wb")
         self._offset = 0
         self._sync_manifest()
@@ -311,20 +297,17 @@ def shard_frames(dir_path: str | Path, start: int = 0
     (counted from ``start``) and its byte offset; the cursor to resume
     from; and a description of the truncated tail after that cursor
     (``""`` when the log ends on a frame boundary).  Pass the returned
-    cursor back in to tail a live log.
-
-    A directory without ``segments.log`` is read in the version 1
-    layout: one frame per ``segments/seg-*.jsonl`` file, the cursor
-    counting files, and never a tail.
+    cursor back in to tail a live log.  A directory without
+    ``segments.log`` raises :class:`FileNotFoundError` naming the log.
     """
     log = Path(dir_path) / LOG_NAME
-    if not log.exists():
-        files = segment_files(dir_path)[start:]
-        return ([(str(p), p.read_bytes()) for p in files],
-                start + len(files), "")
-    with log.open("rb") as fh:
-        fh.seek(start)
-        data = fh.read()
+    try:
+        with log.open("rb") as fh:
+            fh.seek(start)
+            data = fh.read()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{dir_path} has no {LOG_NAME} "
+                                "(not a stream shard?)") from None
     frames: list[tuple[str, bytes]] = []
     pos, end, reason = 0, len(data), ""
     while pos < end:

@@ -20,9 +20,11 @@ Everything is read-side only and crash-tolerant: each refresh reads
 only the log bytes appended since the last complete frame, a torn tail
 frame (the producer died or is mid-write) is retried on the next
 refresh, and a directory with no manifest yet renders as "waiting".
-Version 1 directories (one file per segment) are tailed too.  Scripted
-mode (``--frames N --interval 0``) renders N frames and exits -- that is
-what the tests and CI drive.
+A directory this build cannot read -- a manifest of another stream
+version, or one without ``segments.log`` beside it -- ends the monitor
+with one ``error:`` line and exit status 1.  Scripted mode (``--frames N
+--interval 0``) renders N frames and exits -- that is what the tests and
+CI drive.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from ..heatmap.ansi import render_strip, supports_color
 from ..workloads.registry import non_negative, positive_int
 
 from .segments import (
+    IncompatibleStreamError,
     TruncatedSegmentError,
     load_manifest,
     read_segment,
@@ -90,7 +93,6 @@ class _ShardView:
     def __init__(self, path: Path) -> None:
         self.path = path
         self.manifest: dict[str, Any] | None = None
-        self.error = ""
         #: Latest heat vector and epoch per allocation label.
         self.heat: dict[str, tuple[int, np.ndarray]] = {}
         #: label -> [(epoch, vector), ...] recent history (drill-down).
@@ -101,15 +103,12 @@ class _ShardView:
 
     def refresh(self, *, history_depth: int = 8) -> None:
         """Re-read the manifest and any frames appended since last time."""
+        # The manifest is written by temp + rename after the log exists,
+        # so only its absence is transient; anything else is raised.
         try:
             self.manifest = load_manifest(self.path)
-            self.error = ""
         except FileNotFoundError:
             self.manifest = None
-            self.error = "waiting for manifest"
-            return
-        except Exception as exc:  # unreadable manifest mid-replace etc.
-            self.error = str(exc)
             return
         # Only bytes past the last complete frame are read; a torn tail
         # frame (mid-write) is not returned, so the next refresh retries it.
@@ -206,8 +205,8 @@ class Monitor:
         lines = [head, "=" * min(len(head), self.width + 30)]
         for view in self.views:
             m = view.manifest
-            if m is None or view.error:
-                lines.append(f"  {view.path}: {view.error or 'waiting'}")
+            if m is None:
+                lines.append(f"  {view.path}: waiting for manifest")
             else:
                 state = "done" if m.get("complete") else "live"
                 lines.append(
@@ -340,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
             time.sleep(args.interval)
     except KeyboardInterrupt:
         pass
+    except (IncompatibleStreamError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -78,8 +78,8 @@ BUNDLES = {
                              "c6a3798441e55f2e7f7dec7fc9f56ff3",
         "fig7/heat.csv": "4158d4708053f0823eaf4d643c652f48"
                          "10074e1b0e9289250e7eaec7fe125f35",
-        "fig7/heat.npz": "88f2c3ac372950240b9d02ecc9504e84"
-                         "3cb444725fff2eb13598c49c99a279f2",
+        "fig7/heat.npz": "229412d36703cf1886e88680de37daa6"
+                         "4dd02f1c1aa5c7a1e5e2105375bab115",
         "fig7/metrics.prom": "1d9498ab970e6bcf256b5a52233853df"
                              "4945f15f5d1ee097f0a91e1ee3aa7705",
         "fig7/report.html": "a73032834556dac8d25cfb30b7d863d6"

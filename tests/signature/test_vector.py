@@ -165,28 +165,38 @@ class TestNpzRebuild:
                                      platform="p")
         assert rebuilt.to_json() == live.to_json()
 
-    def test_npz_per_channel_keys_are_stable(self, tmp_path):
+    def test_npz_key_set_is_exact(self, tmp_path):
+        """Each matrix is stored once, its channel axis named by
+        ``channels``."""
         store = _store_with_pattern()
         store.to_npz(tmp_path / "heat.npz")
         with np.load(tmp_path / "heat.npz") as npz:
-            for i in range(2):
-                stacked = np.stack(
-                    [npz[f"a{i}_{c}"] for c in CHANNELS], axis=1)
-                assert (stacked == npz[f"a{i}_counts"]).all()
-            assert "sizes" in npz and "bases" in npz and "serials" in npz
+            assert set(npz.files) == {
+                "labels", "nwords", "sizes", "bases", "serials",
+                "epochs_closed", "channels",
+                "a0_counts", "a0_epochs", "a1_counts", "a1_epochs"}
+            assert tuple(npz["channels"]) == CHANNELS
+            assert npz["a0_counts"].shape == (3, len(CHANNELS), 16)
 
-    def test_legacy_npz_without_channel_arrays_still_signs(self, tmp_path):
-        """Pre-signature archives (a<i>_counts only) remain readable."""
+    def test_npz_without_sizes_is_a_read_error(self, tmp_path, capsys):
+        """``repro-sig compute --npz``: exit 2, one line naming the file
+        and the missing array."""
+        from repro.signature.cli import main
+
         store = _store_with_pattern()
         store.to_npz(tmp_path / "heat.npz")
         with np.load(tmp_path / "heat.npz") as npz:
-            kept = {k: npz[k] for k in npz.files
-                    if not any(k.endswith(f"_{c}") for c in CHANNELS)
-                    and k not in ("sizes", "bases", "serials")}
-        np.savez_compressed(tmp_path / "legacy.npz", **kept)
-        legacy = signature_from_npz(tmp_path / "legacy.npz")
-        live = signature_from_store(store)
-        assert run_similarity(legacy, live)["similarity"] == 1.0
+            kept = {k: npz[k] for k in npz.files if k != "sizes"}
+        np.savez_compressed(tmp_path / "old.npz", **kept)
+        assert main(["compute", "--npz", str(tmp_path / "old.npz"),
+                     "--out", str(tmp_path / "sig")]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"error: cannot read {tmp_path}/old.npz: ")
+        assert "sizes" in lines[0]
+        assert captured.out == ""
+        assert not (tmp_path / "sig").exists()
 
 
 class TestBulkRounding:

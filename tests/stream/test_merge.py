@@ -24,12 +24,6 @@ def _cut_last_frame(shard_dir, keep):
     log = Path(shard_dir) / LOG_NAME
     log.write_bytes(log.read_bytes()[: last["offset"] + keep(last["bytes"])])
 
-#: A pathfinder stream written by ``repro-agg run --platform pcie
-#: --sample 4 --log-capacity 64`` before shadow sampling was removed: six
-#: segments, a ``sampling`` record in the last one, and ``rollup.sampling``
-#: plus ``config.sample`` in the manifest.
-LEGACY = Path(__file__).parent / "data" / "legacy-sampled-pathfinder"
-
 
 @pytest.fixture(scope="module")
 def lulesh_stream(tmp_path_factory):
@@ -234,52 +228,6 @@ class TestIndependentRuns:
             assert merged.summary[key] == sa[key] + sb[key], key
 
 
-class TestLegacySampledShard:
-    @pytest.fixture(scope="class")
-    def bundles(self, tmp_path_factory):
-        base = tmp_path_factory.mktemp("legacy")
-        run_streaming("pathfinder", "pcie", base / "dense", log_capacity=64)
-        warned = []
-        merge_shards([LEGACY], on_warning=warned.append).write(base / "legacy")
-        merge_shards([base / "dense"]).write(base / "dense-merged")
-        return base / "legacy", base / "dense-merged", warned
-
-    def test_one_warning_names_shard_and_stride(self, bundles):
-        _, _, warned = bundles
-        assert warned == ["shard shard-0 was traced with shadow sampling "
-                          "(stride 4); its diagnoses were sampled estimates"]
-
-    @pytest.mark.parametrize("name",
-                             ["heat.csv", "causes.json", "signature.json"])
-    def test_artifacts_match_dense_merge(self, bundles, name):
-        legacy, dense, _ = bundles
-        assert (legacy / name).read_bytes() == (dense / name).read_bytes()
-
-    def test_warning_is_the_only_report_trace(self, bundles):
-        legacy, _, _ = bundles
-        html = (legacy / "report.html").read_text()
-        assert html.count("sampled estimates") == 1  # the warning line
-        assert "sampled tracing" not in html  # no sampling banner
-        assert "sampling" not in json.loads(
-            (legacy / "manifest.json").read_text())["rollup"]
-
-    def test_manifest_and_top_accept_fixture(self, capsys):
-        from repro.stream.top import main
-
-        assert load_manifest(LEGACY)["config"]["sample"] == 4
-        assert main([str(LEGACY), "--frames", "1", "--interval", "0",
-                     "--no-clear", "--no-color"]) == 0
-        assert "pathfinder on intel-pascal" in capsys.readouterr().out
-
-    def test_cli_merge_prints_warning(self, tmp_path, capsys):
-        from repro.stream.cli import main
-
-        assert main(["merge", str(LEGACY), "--out", str(tmp_path)]) == 0
-        err = capsys.readouterr().err
-        assert err.count("warning: shard shard-0 was traced with shadow "
-                         "sampling (stride 4)") == 1
-
-
 class TestCli:
     def test_run_split_merge_round_trip(self, tmp_path, capsys):
         from repro.stream.cli import main
@@ -318,6 +266,7 @@ class TestCliErrors:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert str(path) in lines[0]
         assert "Traceback" not in captured.err
+        assert captured.out == ""
         return lines[0]
 
     @pytest.fixture
@@ -345,6 +294,19 @@ class TestCliErrors:
         self._error(capsys, ["merge", str(tmp_path / "none"),
                              "--out", str(tmp_path / "m")],
                     tmp_path / "none")
+
+    @pytest.mark.parametrize("argv", [["merge"], ["merge", "--strict"],
+                                      ["split"]],
+                             ids=["merge", "merge-strict", "split"])
+    @pytest.mark.parametrize("name", ["version-1", "no-log", "merged-bundle"])
+    def test_unreadable_directory(self, unreadable_dirs, name, argv,
+                                  tmp_path, capsys):
+        """A directory this build does not write is refused, not read as
+        an empty run."""
+        src = unreadable_dirs[name]
+        self._error(capsys, [*argv, str(src), "--out", str(tmp_path / "o")],
+                    src)
+        assert not (tmp_path / "o").exists()
 
     def test_split_into_zero_shards(self, run_dir, tmp_path, capsys):
         from repro.stream.cli import main

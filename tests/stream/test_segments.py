@@ -206,13 +206,20 @@ class TestManifest:
         with pytest.raises(IncompatibleStreamError):
             load_manifest(tmp_path)
 
-    def test_versions_1_and_2_read_3_rejected(self, tmp_path):
-        for version in (1, 2):
+    def test_only_version_2_reads_1_and_3_rejected(self, tmp_path):
+        write_manifest(tmp_path, {"stream_version": 2})
+        assert load_manifest(tmp_path)["stream_version"] == 2
+        for version in (1, 3):
             write_manifest(tmp_path, {"stream_version": version})
-            assert load_manifest(tmp_path)["stream_version"] == version
-        write_manifest(tmp_path, {"stream_version": 3})
-        with pytest.raises(IncompatibleStreamError, match="stream_version 3"):
-            load_manifest(tmp_path)
+            with pytest.raises(IncompatibleStreamError,
+                               match=f"stream_version {version} is not 2"):
+                load_manifest(tmp_path)
+
+    def test_missing_log_names_the_log(self, tmp_path):
+        write_manifest(tmp_path, {"stream_version": STREAM_VERSION})
+        with pytest.raises(FileNotFoundError,
+                           match=f"{tmp_path} has no {LOG_NAME}"):
+            list(iter_shard_records(tmp_path))
 
     def test_unreadable_manifest_names_the_file(self, tmp_path):
         (tmp_path / MANIFEST_NAME).write_text('{"stream_version": ')
@@ -258,22 +265,3 @@ class TestManifest:
         warnings = []
         assert _records(tmp_path, warn=warnings.append) == RECORDS
         assert len(warnings) == 1 and "payload cut off" in warnings[0]
-
-    def test_version_1_multi_file_directory_still_reads(self, tmp_path):
-        """No segments.log: one frame per segments/seg-*.jsonl file."""
-        seg_dir = tmp_path / "segments"
-        seg_dir.mkdir()
-        for i, records in enumerate((RECORDS, RECORDS[:1])):
-            header = {"type": "segment_header", "segment": i, "shard": "s0",
-                      "stream_version": 1}
-            body = "".join(json.dumps(r) + "\n" for r in [header, *records])
-            trailer = {"type": "segment_trailer", "records": len(records),
-                       "crc32": zlib.crc32(body.encode())}
-            (seg_dir / f"seg-{i:05d}.jsonl").write_text(
-                body + json.dumps(trailer) + "\n")
-        write_manifest(tmp_path, {"stream_version": 1})
-        assert load_manifest(tmp_path)["stream_version"] == 1
-        assert _records(tmp_path, strict=True) == RECORDS + RECORDS[:1]
-        frames, cursor, tail = shard_frames(tmp_path, start=1)
-        assert cursor == 2 and tail == "" and len(frames) == 1
-        assert frames[0][0].endswith("seg-00001.jsonl")

@@ -119,17 +119,6 @@ class TestMonitor:
         assert monitor.views[0].frames_read == 1
         assert monitor.views[0].heat["x"][0] == 0
 
-    def test_legacy_multi_file_layout_tails(self):
-        from pathlib import Path
-
-        legacy = Path(__file__).parent / "data" / "legacy-sampled-pathfinder"
-        monitor = Monitor([legacy], color=False)
-        frame = monitor.render_frame()
-        assert "6 segment(s)" in frame
-        assert monitor.views[0].heat
-        monitor.render_frame()
-        assert monitor.views[0].frames_read == 6  # nothing re-read
-
     def test_dropped_warning_row(self, tmp_path):
         writer = SegmentWriter(tmp_path, shard="s", workload="w",
                                platform="p")
@@ -154,6 +143,19 @@ class TestMainScripted:
         rc = main(shards + ["--interval", "0", "--no-color", "--no-clear"])
         assert rc == 0
         assert capsys.readouterr().out.count("repro-top —") == 1
+
+    @pytest.mark.parametrize("name", ["version-1", "no-log", "merged-bundle"])
+    def test_unreadable_directory_is_an_error(self, unreadable_dirs, shards,
+                                              name, capsys):
+        """One located ``error:`` line and exit 1, no frame drawn."""
+        src = unreadable_dirs[name]
+        assert main([shards[0], str(src), "--frames", "1", "--interval", "0",
+                     "--no-color", "--no-clear"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert str(src) in lines[0]
+        assert captured.out == ""
 
 
 @pytest.fixture(scope="module")

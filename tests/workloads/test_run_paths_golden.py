@@ -56,8 +56,8 @@ GOLDEN = {
                         "cbd0cf56308d469e10aa8a89b573eb70",
         "heat.csv": "8845ee3244f664a01b7144f8e3a50438"
                     "76c6d186e2096c22dc318bd7c9822419",
-        "heat.npz": "d0849990399d9bdb47c3805a2dbeec23"
-                    "3fd69e9487147313b9dd27c03a82b0c0",
+        "heat.npz": "1c0962806b626f9743e28b79f42b19fa"
+                    "efa8bfe36e9f8d3a7fef30947b0f066e",
         "metrics.prom": "bc33260c46521d14599adda9c3d10e17"
                         "f4e754d008e3ee482c4bebd8857feec1",
         "report.html": "baf0f2b069bed0a0aca47e3488d1054e"
