@@ -1,6 +1,7 @@
 """Anti-pattern detection (paper §III-A): the analysis half of XPlacer."""
 
-from .advisor import Diagnosis, diagnose, format_findings
+from .advisor import (Diagnosis, detect_anti_patterns, diagnose,
+                      format_findings)
 from .alternating import detect_alternating
 from .density import block_densities, detect_low_density
 from .patterns import AntiPattern, Finding, remedies_for
@@ -14,6 +15,7 @@ from .transfers import detect_unnecessary_transfers
 
 __all__ = [
     "Diagnosis",
+    "detect_anti_patterns",
     "diagnose",
     "format_findings",
     "detect_alternating",

@@ -2,9 +2,10 @@
 
 :func:`diagnose` is what workloads and the evaluation harness call at each
 ``#pragma xpl diagnostic`` point: it computes the diagnostic (with maps),
-runs the three anti-pattern detectors, and returns both the structured
-result and the findings.  :func:`format_findings` renders them like the
-advisory lines under the Fig 4 tables.
+runs the three anti-pattern detectors (:func:`detect_anti_patterns`,
+which the debugger calls on its own diagnostics), and returns both the
+structured result and the findings.  :func:`format_findings` renders
+them like the advisory lines under the Fig 4 tables.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .density import detect_low_density
 from .patterns import AntiPattern, Finding
 from .transfers import detect_unnecessary_transfers
 
-__all__ = ["Diagnosis", "diagnose", "format_findings"]
+__all__ = ["Diagnosis", "detect_anti_patterns", "diagnose",
+           "format_findings"]
 
 
 @dataclass
@@ -41,6 +43,19 @@ class Diagnosis:
         return [f for f in self.findings if f.name == name]
 
 
+def detect_anti_patterns(
+    result: DiagnosticResult,
+    tracer: Tracer,
+    *,
+    min_transfer_block_words: int = 16,
+) -> list[Finding]:
+    """The three detectors' findings over one diagnostic (with maps)."""
+    return (detect_alternating(result, tracer)
+            + detect_low_density(result)
+            + detect_unnecessary_transfers(
+                result, tracer, min_block_words=min_transfer_block_words))
+
+
 def diagnose(
     tracer: Tracer,
     descriptors: Sequence[XplAllocData] | None = None,
@@ -55,12 +70,8 @@ def diagnose(
         tracer, descriptors, out,
         include_maps=True, include_unnamed=include_unnamed, reset=reset,
     )
-    findings: list[Finding] = []
-    findings += detect_alternating(result, tracer)
-    findings += detect_low_density(result)
-    findings += detect_unnecessary_transfers(
-        result, tracer, min_block_words=min_transfer_block_words,
-    )
+    findings = detect_anti_patterns(
+        result, tracer, min_transfer_block_words=min_transfer_block_words)
     if out is not None and findings:
         out.write(format_findings(findings))
     return Diagnosis(result=result, findings=findings)

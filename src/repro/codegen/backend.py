@@ -7,9 +7,9 @@ which tier ends up executing).  The ladder, most- to least-optimized:
 
 ``codegen-vec``
     One numpy pass over the whole grid (:mod:`.vectorize` +
-    :mod:`.gridexec`); requires a stock tracer and a provably
-    data-parallel kernel.  Bails fall to the scalar tier after
-    restoring any half-written values.
+    :mod:`.gridexec`); requires a provably data-parallel kernel.
+    Bails fall to the scalar tier after restoring any half-written
+    values.
 ``codegen``
     The per-thread compiled function (:mod:`.emitter`), looping
     ``grid x block`` in Python but with zero AST dispatch.
@@ -18,19 +18,18 @@ which tier ends up executing).  The ladder, most- to least-optimized:
 
 Every dropped tier counts as one *fallback* on the tracer
 (:meth:`Tracer.note_launch`), so reports can attribute fidelity numbers
-to the backend that actually produced them.  Custom tracer subclasses
-that override the ``trace*`` methods disable the compiled tiers
-entirely -- the emitted code binds the base implementations, and
-silently skipping an override would change observable behaviour.
+to the backend that actually produced them.  Installed interpreter
+hooks (the debugger) keep every launch interpreted: ``_run_kernel``
+never calls :func:`run_compiled` while hooks are set.
 
 Host functions (``main`` and its helpers) have one compiled tier, the
 scalar emitter's host mode.  ``Interpreter._invoke`` asks
 :func:`bind_host` for a function's body once per interpreter when the
-backend is not ``interp``, the tracer is stock, no hooks are installed
-(the debugger) and no kernel thread or interpreted host frame is active.
-The bound code calls back into the interpreter for everything with a
-side effect beyond its own locals -- ``_alloc_local`` for each stack
-cell, ``_call_builtin`` for builtins (kernel launches reach
+backend is not ``interp``, no hooks are installed (the debugger) and
+no kernel thread or interpreted host frame is active.  The bound code
+calls back into the interpreter for everything with a side effect
+beyond its own locals -- ``_alloc_local`` for each stack cell,
+``_call_builtin`` for builtins (kernel launches reach
 :func:`run_compiled` through ``_run_kernel``, so launch counts are
 unchanged), ``_invoke`` for user functions -- so both tiers share one
 semantics.  A bail (see :mod:`.emitter`) leaves the function
@@ -44,7 +43,6 @@ from functools import partial
 from ..heatmap.store import SourceSite
 from ..interp.interpreter import UNTYPED_SIZEOF, _cdiv, _cmod, alloc_data
 from ..interp.values import InterpError, addr_access, format_printf, load, store
-from ..runtime.tracer import Tracer
 from .emitter import (
     DTYPES,
     GLOBAL,
@@ -234,13 +232,6 @@ def _run_vec(interp, fn, grid, block, args, heat_on) -> bool:
     return True
 
 
-def _tracer_eligible(tracer) -> bool:
-    t = type(tracer)
-    return (t.traceR is Tracer.traceR
-            and t.traceW is Tracer.traceW
-            and t.traceRW is Tracer.traceRW)
-
-
 def run_compiled(interp, fn, grid: int, block: int, args,
                  interp_body) -> None:
     """Execute one kernel launch via the best available backend.
@@ -251,30 +242,21 @@ def run_compiled(interp, fn, grid: int, block: int, args,
     """
     mode = interp.backend
     tracer = interp.tracer
-    eligible = _tracer_eligible(tracer)
     heat_on = tracer.heat is not None
     fallbacks = 0
     if mode in ("auto", "codegen-vec"):
-        if eligible:
-            try:
-                if _run_vec(interp, fn, grid, block, args, heat_on):
-                    tracer.note_launch("codegen-vec", fallbacks)
-                    return
-                fallbacks += 1
-            except (CodegenBail, VecBail):
-                fallbacks += 1
-        elif mode == "codegen-vec":
-            # Explicitly requested but unavailable (a tracer subclass
-            # overriding the trace hooks): record the drop.
-            fallbacks += 1
-    if eligible:
         try:
-            _run_scalar(interp, fn, grid, block, args, heat_on)
-            tracer.note_launch("codegen", fallbacks)
-            return
-        except CodegenBail:
+            if _run_vec(interp, fn, grid, block, args, heat_on):
+                tracer.note_launch("codegen-vec", fallbacks)
+                return
             fallbacks += 1
-    else:
+        except (CodegenBail, VecBail):
+            fallbacks += 1
+    try:
+        _run_scalar(interp, fn, grid, block, args, heat_on)
+        tracer.note_launch("codegen", fallbacks)
+        return
+    except CodegenBail:
         fallbacks += 1
     interp_body()
     tracer.note_launch("interp", fallbacks)

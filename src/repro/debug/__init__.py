@@ -13,7 +13,7 @@ byte for byte.
 """
 
 from .breakpoints import Breakpoint, BreakpointTable, PATTERN_ALIASES
-from .engine import DebugEngine, DebugQuit, DebugTracer, StopInfo
+from .engine import DebugEngine, DebugQuit, StopInfo
 from .repl import DebugSession
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "PATTERN_ALIASES",
     "DebugEngine",
     "DebugQuit",
-    "DebugTracer",
     "StopInfo",
     "DebugSession",
 ]

@@ -10,6 +10,10 @@ Scripted sessions echo every prompt+command into the output, and the
 whole pipeline is simulated (no wall clock, no randomness), so two runs
 of the same script produce byte-identical transcripts -- the property CI
 asserts.
+
+Bad input -- a file that cannot be read, a Spatter spec that is not one,
+a source the front end rejects, a transcript that cannot be written, an
+unknown platform -- exits 2 with one stderr line and writes nothing.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ import sys
 from pathlib import Path
 
 from ..heatmap.ansi import supports_color
+from ..instrument.errors import FrontendError
 from ..memsim import PLATFORMS
-from ..workloads.registry import (UnknownNameError, positive_int,
-                                   resolve_platform)
+from ..workloads.registry import (BadInput, UnknownNameError,
+                                   positive_int, reading, resolve_platform)
 from .engine import DebugEngine
 from .repl import DebugSession
 
@@ -29,17 +34,10 @@ __all__ = ["main"]
 
 
 def _build_platform(name: str, gpu_mem: int | None):
-    try:
-        factory = PLATFORMS[resolve_platform(name)]
-    except UnknownNameError as exc:
-        raise SystemExit(str(exc)) from None
+    factory = PLATFORMS[resolve_platform(name)]
     if gpu_mem is not None:
         return factory(gpu_memory_bytes=gpu_mem)
     return factory()
-
-
-def _load_script(path: str) -> list[str]:
-    return Path(path).read_text().splitlines()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -74,31 +72,51 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--dump-source", action="store_true",
                         help="print the (generated) program and exit")
     args = parser.parse_args(argv)
+    if not (args.spatter or args.source):
+        parser.error("either SOURCE or --spatter is required")
+    try:
+        return _debug(args)
+    except UnknownNameError as exc:
+        print(exc, file=sys.stderr)
+    except BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 2
 
+
+def _debug(args: argparse.Namespace) -> int:
     if args.spatter:
         from ..workloads.spatter import SpatterSpec, to_mini_cuda
-        spec = SpatterSpec.load(args.spatter)
+        with reading(args.spatter):
+            spec = SpatterSpec.load(args.spatter)
         source = to_mini_cuda(spec)
         source_name = f"spatter-{spec.name}.cu"
-    elif args.source:
-        source = Path(args.source).read_text()
-        source_name = Path(args.source).name
+        where = args.spatter
     else:
-        parser.error("either SOURCE or --spatter is required")
+        with reading(args.source):
+            source = Path(args.source).read_text()
+        source_name = Path(args.source).name
+        where = args.source
     if args.dump_source:
         sys.stdout.write(source)
         return 0
 
     platform = _build_platform(args.platform, args.gpu_mem)
-    engine = DebugEngine(source, source_name=source_name, platform=platform,
-                         nbuckets=args.buckets)
+    try:
+        engine = DebugEngine(source, source_name=source_name,
+                             platform=platform, nbuckets=args.buckets)
+    except FrontendError as exc:
+        raise BadInput(f"{where}: {exc}") from None
     engine.entry = args.entry
 
-    script = _load_script(args.script) if args.script else None
+    script = None
+    if args.script:
+        with reading(args.script):
+            script = Path(args.script).read_text().splitlines()
     sink = None
     out = sys.stdout
     if args.transcript:
-        sink = open(args.transcript, "w")
+        with reading(args.transcript, "write"):
+            sink = open(args.transcript, "w")
         out = sink
     color = False if (script or sink) else supports_color(out)
     session = DebugSession(engine, out=out, script=script, color=color)

@@ -10,19 +10,22 @@ Whatever resume action the loop returns (``step``/``next``/``continue``/
 ``finish``) becomes the stepping mode; ``quit`` raises :class:`DebugQuit`
 to unwind the whole program.
 
-Driver events (faults, evictions) are recorded *inside* a trace call, so
-their breakpoints pause **deferred**: the engine notes a pending stop and
-pauses at the next hook point -- right after the faulting access
-completes, matching how a hardware debugger reports an asynchronous
-fault.
+Driver events (faults, evictions) are recorded while the trace hook
+charges an access, so their breakpoints pause **deferred**: the engine
+notes a pending stop and pauses at the next hook point -- right after
+the faulting access completes, matching how a hardware debugger reports
+an asynchronous fault.
 
 Because the interpreter's memory is host-backed, the plain mini-CUDA
-pipeline never enters the unified-memory driver.  :class:`DebugTracer`
-closes that gap: every instrumented access to a *managed* allocation is
-forwarded to :meth:`~repro.memsim.UnifiedMemoryDriver.access` with a
-blame context naming the interpreted source line, so the debugger sees
-the same faults, migrations and cause links the Python workloads produce
--- and ``explain`` agrees with ``repro-why``.
+pipeline never enters the unified-memory driver.  The engine closes that
+gap from its trace hook: the tracer is a stock ``Tracer(batch=False)``
+(shadow state exact in program order at every pause point), and every
+instrumented access to a *managed* allocation is charged through
+:meth:`~repro.cudart.CudaRuntime.record_access` with a blame site naming
+the interpreted source line, so the debugger sees the same faults,
+migrations and cause links the Python workloads produce -- and
+``explain`` agrees with ``repro-why``.  Installed hooks keep every host
+function and kernel launch interpreted, so no access escapes the hook.
 """
 
 from __future__ import annotations
@@ -32,12 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis import (
-    Finding,
-    detect_alternating,
-    detect_low_density,
-    detect_unnecessary_transfers,
-)
+from ..analysis import Finding, detect_anti_patterns
 from ..causes import CausalGraph
 from ..causes.render import format_bytes, format_cost, render_chain, \
     render_report
@@ -56,7 +54,7 @@ from ..memsim import (
 from ..runtime import Tracer
 from ..telemetry.events_jsonl import encode_driver_event
 
-__all__ = ["DebugEngine", "DebugQuit", "DebugTracer", "StopInfo"]
+__all__ = ["DebugEngine", "DebugQuit", "StopInfo"]
 
 #: Trace wrapper name -> access verb for watchpoint banners.
 _RW = {"traceR": "read", "traceW": "write", "traceRW": "rmw"}
@@ -81,56 +79,6 @@ class StopInfo:
     detail: str = ""
 
 
-class DebugTracer(Tracer):
-    """Tracer that also drives the UM driver from interpreted trace calls.
-
-    ``batch=False`` by default so shadow state is exact in program order
-    at every pause point.  Only MANAGED allocations enter the driver
-    (host memory has no driver involvement; device memory would fault on
-    the interpreter's CPU-side setup loops).
-    """
-
-    def __init__(self, **kwargs) -> None:
-        kwargs.setdefault("batch", False)
-        super().__init__(**kwargs)
-        #: Called with each newly registered allocation (engine bookkeeping).
-        self.alloc_hook = None
-
-    def trc_register(self, alloc: Allocation):
-        block = super().trc_register(alloc)
-        hook = self.alloc_hook
-        if hook is not None:
-            hook(alloc)
-        return block
-
-    def _drive_um(self, addr: int, size: int, site: SourceSite | None, *,
-                  is_write: bool, is_rmw: bool = False) -> None:
-        rt = self._runtime
-        if rt is None:
-            return
-        block = self.smt.lookup(addr)
-        if block is None:
-            return
-        alloc = block.alloc
-        if alloc.kind is not MemoryKind.MANAGED:
-            return
-        rt.record_access(alloc, addr - alloc.base, size, 1,
-                         is_write=is_write, indices=None, is_rmw=is_rmw,
-                         site=site.label if site else "")
-
-    def traceR(self, addr: int, size: int = 4, site=None) -> int:
-        self._drive_um(addr, size, site, is_write=False)
-        return super().traceR(addr, size, site)
-
-    def traceW(self, addr: int, size: int = 4, site=None) -> int:
-        self._drive_um(addr, size, site, is_write=True)
-        return super().traceW(addr, size, site)
-
-    def traceRW(self, addr: int, size: int = 4, site=None) -> int:
-        self._drive_um(addr, size, site, is_write=True, is_rmw=True)
-        return super().traceRW(addr, size, site)
-
-
 class _EngineHooks(InterpHooks):
     """Thin delegation so the interpreter never imports the debugger."""
 
@@ -148,6 +96,9 @@ class _EngineHooks(InterpHooks):
     def on_kernel_entry(self, interp, fn, grid, block) -> None:
         self.engine._on_kernel_entry(interp, fn, grid, block)
 
+    def on_alloc(self, interp, alloc) -> None:
+        self.engine._on_alloc(alloc)
+
 
 class DebugEngine:
     """One debuggable run of an instrumented mini-CUDA program."""
@@ -164,8 +115,7 @@ class DebugEngine:
         unit = parse(source)
         instrument(unit)
         self.heat = HeatStore(nbuckets=nbuckets, attribute=False)
-        self.tracer = DebugTracer(heat=self.heat)
-        self.tracer.alloc_hook = self._on_alloc
+        self.tracer = Tracer(heat=self.heat, batch=False)
         self.interp = Interpreter(unit, platform=platform, tracer=self.tracer,
                                   out=out or io.StringIO(),
                                   source_name=source_name)
@@ -275,6 +225,16 @@ class DebugEngine:
             self._do_pause(self._stop(mode))
 
     def _on_trace(self, interp, fn: str, addr: int, size: int, site) -> None:
+        # Only MANAGED allocations enter the driver: host memory has no
+        # driver involvement, and device memory would fault on the
+        # interpreter's CPU-side setup loops.
+        block = self.tracer.smt.lookup(addr)
+        if block is not None and block.alloc.kind is MemoryKind.MANAGED:
+            alloc = block.alloc
+            self.runtime.record_access(
+                alloc, addr - alloc.base, size, 1, is_write=fn != "traceR",
+                indices=None, is_rmw=fn == "traceRW",
+                site=site.label if site else "")
         pending = self._pending
         if pending is not None:
             self._pending = None
@@ -304,9 +264,7 @@ class DebugEngine:
                 self._pending = self._stop("event", bp=bp, event=ev)
 
     def _on_diagnostic(self, result) -> None:
-        findings = (detect_alternating(result, self.tracer)
-                    + detect_low_density(result)
-                    + detect_unnecessary_transfers(result, self.tracer))
+        findings = detect_anti_patterns(result, self.tracer)
         self.last_findings = tuple(findings)
         bp, hits = self.breakpoints.match_pattern(findings)
         if bp is not None:

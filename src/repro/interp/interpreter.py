@@ -27,7 +27,7 @@ from ..heatmap.store import SourceSite
 from ..instrument import ast_nodes as A
 from ..instrument.transform import TRACE_FNS
 from ..instrument.typesys import Array, CType, Pointer, Primitive, StructType
-from ..memsim import MemoryKind, Platform, intel_pascal
+from ..memsim import Allocation, MemoryKind, Platform, intel_pascal
 from ..runtime import Tracer, XplAllocData, trace_print
 from .values import (
     _PRIM_DTYPES,
@@ -76,12 +76,15 @@ class InterpHooks:
 
     def on_trace(self, interp: "Interpreter", fn: str, addr: int,
                  size: int, site: SourceSite | None) -> None:
-        """After each instrumented ``trace*`` call completed (shadow and
-        any driver work done), before the traced access's value is used."""
+        """After each instrumented ``trace*`` call updated the shadow,
+        before the traced access's value is used."""
 
     def on_kernel_entry(self, interp: "Interpreter", fn: A.FunctionDef,
                         grid: int, block: int) -> None:
         """Before a kernel launch starts executing its thread loop."""
+
+    def on_alloc(self, interp: "Interpreter", alloc: Allocation) -> None:
+        """After a new heap or ``trc*`` allocation entered the shadow."""
 
 
 class _Env:
@@ -122,7 +125,7 @@ class Interpreter:
     ) -> None:
         self.unit = unit
         self.source_name = source_name
-        from ..codegen.backend import BACKENDS, _tracer_eligible
+        from ..codegen.backend import BACKENDS
         self.backend = backend or "interp"
         if self.backend not in BACKENDS:
             raise ValueError(
@@ -162,11 +165,9 @@ class Interpreter:
         self._host_tier = False
         self._init_globals()
         #: Host functions run compiled (see :meth:`_invoke`) unless this
-        #: is off: the ``interp`` backend, a tracer overriding the trace
-        #: hooks, global initializers, or an interpreted host frame on
-        #: the stack.
-        self._host_tier = (self.backend != "interp"
-                           and _tracer_eligible(self.tracer))
+        #: is off: the ``interp`` backend, global initializers, or an
+        #: interpreted host frame on the stack.
+        self._host_tier = self.backend != "interp"
 
     # ------------------------------------------------------------------ #
     # setup / entry
@@ -645,7 +646,7 @@ class Interpreter:
             count = int(self.eval(e.count, env)[0])
         nbytes = max(1, e.ctype.size * count)
         ptr = self.runtime.host_malloc(nbytes, label="new")
-        self.tracer.trc_register(ptr.alloc)  # heap memory is traced
+        self._register(ptr.alloc)  # heap memory is traced
         if e.init is not None:
             value, _ = self.eval(e.init, env)
             store(self._space, LValue(ptr.addr, e.ctype), value)
@@ -692,6 +693,13 @@ class Interpreter:
         args = [self.eval(a, env)[0] for a in e.args]
         self._run_kernel(fn, grid, block, args)
 
+    def _register(self, alloc: Allocation) -> None:
+        """Give ``alloc`` a shadow block and tell the hooks about it."""
+        self.tracer.trc_register(alloc)
+        hooks = self.hooks
+        if hooks is not None:
+            hooks.on_alloc(self, alloc)
+
     def _run_kernel(self, fn: A.FunctionDef, grid: int, block: int,
                     args: list[Any]) -> None:
         hooks = self.hooks
@@ -722,7 +730,9 @@ class Interpreter:
                 run_compiled(self, fn, grid, block, args, interp_body)
         else:
             # Hooked runs (the debugger) need per-statement control; the
-            # compiled tiers would bypass every breakpoint.
+            # compiled tiers call the bound trace methods directly, so
+            # they would bypass every breakpoint and the debugger's UM
+            # charge in ``on_trace``.
             def body(ctx) -> None:
                 interp_body()
 
@@ -743,21 +753,21 @@ class Interpreter:
             ptr = rt.malloc_managed(size, label=label)
             store(space, LValue(out_ptr, Pointer(Primitive("size_t", 8))), ptr.addr)
             if name.startswith("trc"):
-                self.tracer.trc_register(ptr.alloc)
+                self._register(ptr.alloc)
             return 0
         if name in ("cudaMalloc", "trcMalloc"):
             out_ptr, size = int(args[0]), int(args[1])
             ptr = rt.malloc(size, label=label)
             store(space, LValue(out_ptr, Pointer(Primitive("size_t", 8))), ptr.addr)
             if name.startswith("trc"):
-                self.tracer.trc_register(ptr.alloc)
+                self._register(ptr.alloc)
             return 0
         if name in ("cudaFree", "trcFree", "free"):
             self._free_addr(int(args[0]), trace=name.startswith("trc"))
             return 0
         if name == "malloc":
             ptr = rt.host_malloc(int(args[0]), label="malloc")
-            self.tracer.trc_register(ptr.alloc)
+            self._register(ptr.alloc)
             return ptr.addr
         if name in ("cudaMemcpy", "trcMemcpy"):
             dst, src, nbytes = int(args[0]), int(args[1]), int(args[2])

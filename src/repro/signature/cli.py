@@ -20,36 +20,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import zipfile
-from contextlib import contextmanager
 from pathlib import Path
 
+from ..workloads.registry import (BadInput, add_run_arguments,
+                                  non_negative, positive_int, reading,
+                                  resolve_platform, run_command)
 from .index import DEFAULT_MATCH_THRESHOLD, SignatureIndex
 from .phases import DEFAULT_THRESHOLD
 from .vector import RunSignature, run_similarity, signature_from_npz
 
 __all__ = ["main", "compute_signature"]
-
-#: What a missing or damaged ``signature.json``, ``heat.npz`` or
-#: ``index.json`` raises while it is read.
-_READ_ERRORS = (OSError, ValueError, KeyError, TypeError,
-                zipfile.BadZipFile)
-
-
-class _BadInput(Exception):
-    """An input that could not be read; :func:`main` exits 2 on it."""
-
-
-@contextmanager
-def _reading(path: str | Path):
-    """Turn a failure to read ``path`` into one :class:`_BadInput`."""
-    try:
-        yield
-    except _READ_ERRORS as exc:
-        where = getattr(exc, "filename", None) or path
-        reason = getattr(exc, "strerror", None) or str(exc)
-        raise _BadInput(f"cannot read {where}: {reason}") from None
-
 
 def compute_signature(workload: str, platform: str, *, buckets: int = 64,
                       phase_threshold: float = DEFAULT_THRESHOLD
@@ -70,7 +50,7 @@ def _load_signature(path: str | Path) -> RunSignature:
     p = Path(path)
     if p.is_dir():
         p = p / "signature.json"
-    with _reading(p):
+    with reading(p):
         return RunSignature.load(p)
 
 
@@ -109,10 +89,8 @@ def _render_similarity(sim: dict) -> str:
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     if args.npz:
-        from ..workloads.registry import resolve_platform
-
         platform = resolve_platform(args.platform)
-        with _reading(args.npz):
+        with reading(args.npz):
             sig = signature_from_npz(args.npz, workload=args.workload or "",
                                      platform=platform,
                                      phase_threshold=args.phase_threshold)
@@ -155,9 +133,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_match(args: argparse.Namespace) -> int:
     root = Path(args.index)
     if root.exists() and not root.is_dir():
-        raise _BadInput(f"cannot read {root}: not a directory")
+        raise BadInput(f"cannot read {root}: not a directory")
     sig = _load_signature(args.query)
-    with _reading(root / "index.json"):
+    with reading(root / "index.json"):
         index = SignatureIndex(root)
         report = index.match(sig, threshold=args.threshold, k=args.k)
     if args.add:
@@ -184,9 +162,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro-sig`` / ``python -m repro.signature``."""
-    from ..workloads.registry import (add_run_arguments, non_negative,
-                                      positive_int, run_command)
-
     parser = argparse.ArgumentParser(
         prog="repro-sig",
         description="Access-pattern signatures: compute fingerprints, "
@@ -242,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _BadInput as exc:
+    except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

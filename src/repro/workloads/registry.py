@@ -18,14 +18,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+import zipfile
+from contextlib import contextmanager
 from typing import Callable, Iterable
 
 from ..memsim import PLATFORMS
 from .base import Session, WorkloadRun
 
 __all__ = ["PLATFORM_ALIASES", "WORKLOADS", "PER_ITERATION", "Runner",
-           "UnknownNameError", "resolve_platform", "resolve_workload",
-           "listing", "positive_int", "add_run_arguments", "run_command"]
+           "UnknownNameError", "BadInput", "reading", "resolve_platform",
+           "resolve_workload", "listing", "positive_int",
+           "add_run_arguments", "run_command"]
 
 #: Friendly platform spellings accepted by ``--platform``, plus every
 #: preset under its own name.
@@ -141,6 +144,31 @@ PER_ITERATION = frozenset({"pathfinder", "lulesh", "sw", "sw-rotated", "lud"})
 
 class UnknownNameError(ValueError):
     """A ``--workload`` or ``--platform`` name the registry does not know."""
+
+
+class BadInput(Exception):
+    """An input file a command cannot use: it prints ``error: `` and
+    this message on one line, and exits 2."""
+
+
+#: What reading (or creating) a missing or damaged input file raises.
+_READ_ERRORS = (OSError, ValueError, LookupError, TypeError,
+                AttributeError, zipfile.BadZipFile)
+
+
+@contextmanager
+def reading(path, verb: str = "read"):
+    """Turn a failure to read (or, with ``verb="write"``, create)
+    ``path`` into one :class:`BadInput` naming the file."""
+    try:
+        yield
+    except _READ_ERRORS as exc:
+        where = getattr(exc, "filename", None) or path
+        if isinstance(exc, KeyError):  # str() would quote the message
+            reason = exc.args[0]
+        else:
+            reason = getattr(exc, "strerror", None) or str(exc)
+        raise BadInput(f"cannot {verb} {where}: {reason}") from None
 
 
 def _unknown(kind: str, name: str, known: Iterable[str]) -> UnknownNameError:

@@ -106,6 +106,8 @@ class SpatterSpec:
         raw = json.loads(text)
         if isinstance(raw, list):  # Spatter files hold a list of specs
             raw = raw[0]
+        if "pattern" not in raw:
+            raise ValueError("missing key 'pattern'")
         kind = str(raw.get("kind", raw.get("kernel", "gather"))).lower()
         return cls(
             name=str(raw.get("name", kind)),

@@ -26,18 +26,6 @@ int main() { return 0; }
 """
 
 
-class _Spy(Tracer):
-    """Overrides a trace hook, so no compiled tier may run it."""
-
-    def __init__(self):
-        super().__init__()
-        self.hits = 0
-
-    def traceR(self, addr, size=4, site=None):
-        self.hits += 1
-        return super().traceR(addr, size, site)
-
-
 def _analyze(source: str, name: str):
     fn = _kernel(source, name)
     res = resolve_kernel(fn)
@@ -231,23 +219,3 @@ int main() {
                 run_program(src, tracer=Tracer(), backend=backend)
             errors[backend] = (type(exc.value), str(exc.value))
         assert errors["interp"] == errors["codegen-vec"]
-
-    def test_debug_tracer_subclass_forces_scalar_fallback(self):
-        """A tracer overriding trace hooks would miss batched updates;
-        the ladder must not hand it to a compiled trace path."""
-        spy = _Spy()
-        it = run_program(SHARED_READ, tracer=spy, backend="auto")
-        info = it.tracer.backend_info()
-        assert info["launches"] == {"interp": 1}  # no compiled trace path
-        assert spy.hits > 0
-
-    @pytest.mark.parametrize("backend, fallbacks",
-                             [("auto", 1), ("codegen-vec", 2), ("codegen", 1)])
-    def test_subclass_fallbacks_per_requested_backend(self, backend,
-                                                      fallbacks):
-        """An explicitly requested codegen-vec the subclass cannot use
-        counts its own dropped tier; auto skips it silently."""
-        info = run_program(SHARED_READ, tracer=_Spy(),
-                           backend=backend).tracer.backend_info()
-        assert info["launches"] == {"interp": 1}
-        assert info["fallbacks"] == fallbacks

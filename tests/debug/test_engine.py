@@ -65,7 +65,7 @@ class TestBreakpointTable:
         assert bps.match_watch(0x1000, 4) is None
 
 
-class TestDebugTracerDrivesUM:
+class TestEngineDrivesUM:
     def test_managed_accesses_reach_the_driver(self):
         engine = DebugEngine(PINGPONG)
         engine.run()

@@ -284,6 +284,63 @@ def test_sig_unreadable_input_is_one_error_line(argv, where, tmp_path):
     assert paths["junk"].read_bytes() == b"not json, not a zip archive\n"
 
 
+_EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+#: ``repro-debug`` arguments naming input it cannot use, and the start of
+#: its one stderr line.  ``{cu}`` is a valid program, ``{bad}`` one that
+#: does not parse, ``{trunc}`` a cut-off and ``{nokey}`` an incomplete
+#: Spatter spec; ``{out}`` is a path no run may create.  Every run
+#: without a ``--transcript`` of its own asks for one in an existing
+#: directory, and none may create it.
+DEBUG_BAD_INPUTS = [
+    pytest.param(["{out}/prog.cu"],
+                 "error: cannot read {out}/prog.cu: No such file or directory",
+                 id="missing-source"),
+    pytest.param(["{cu}", "--script", "{out}/cmds.txt"],
+                 "error: cannot read {out}/cmds.txt: No such file or "
+                 "directory", id="missing-script"),
+    pytest.param(["--spatter", "{out}/spec.json"],
+                 "error: cannot read {out}/spec.json: No such file or "
+                 "directory", id="missing-spatter"),
+    pytest.param(["{cu}", "--transcript", "{out}/nodir/t.txt"],
+                 "error: cannot write {out}/nodir/t.txt: No such file or "
+                 "directory", id="transcript-dir-missing"),
+    pytest.param(["{bad}"],
+                 "error: {bad}: expected ';', found '}}' at 1:23",
+                 id="parse-error"),
+    pytest.param(["--spatter", "{trunc}"], "error: cannot read {trunc}: ",
+                 id="truncated-spatter"),
+    pytest.param(["--spatter", "{nokey}"],
+                 "error: cannot read {nokey}: missing key 'pattern'",
+                 id="spatter-missing-key"),
+    pytest.param(["{cu}", "--platform", "no-such"],
+                 "unknown platform 'no-such'; known: ", id="unknown-platform"),
+]
+
+
+@pytest.mark.parametrize("argv, message", DEBUG_BAD_INPUTS)
+def test_debug_bad_input_is_one_error_line(argv, message, tmp_path):
+    paths = {"out": tmp_path / "out", "bad": tmp_path / "bad.cu",
+             "trunc": tmp_path / "trunc.json",
+             "nokey": tmp_path / "nokey.json",
+             "cu": _EXAMPLES / "pathfinder_pingpong.cu"}
+    paths["bad"].write_text("int main() { return 0 }\n")
+    paths["trunc"].write_text('{"kind": "gather", "pattern": [0, 1')
+    paths["nokey"].write_text('{"kind": "gather"}')
+    transcript = tmp_path / "t.txt"
+    argv = [a.format(**paths) for a in argv]
+    if "--transcript" not in argv:
+        argv += ["--transcript", str(transcript)]
+    done = _cli("repro.debug", argv)
+    assert done.returncode == 2
+    assert done.stderr.startswith(message.format(**paths))
+    assert done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+    assert not paths["out"].exists()
+    assert not transcript.exists()
+
+
 def test_debug_without_gpu_mem_keeps_the_preset():
     from repro.debug.cli import _build_platform
 
